@@ -83,6 +83,7 @@ from .sweeps import (
     faraday_sweep,
     find_optimal_thickness,
     heterostructure_projection,
+    run_sweep,
     thickness_sweep_with_cavity,
     thickness_sweep_without_cavity,
 )

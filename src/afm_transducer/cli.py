@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
 from .closed_forms import cooperativities
 from .config import Command, RunConfig, load_config, resolve_preset
@@ -28,16 +26,8 @@ from .invariants import run_invariant_suite
 from .magnon import bogoliubov_uv, kappa_coefficients, resonance_frequencies
 from .output import emit
 from .presets import assemble
-from .scattering import Configuration, scatter
-from .sweeps import (
-    SweepVariable,
-    detuning_sweep,
-    dummy_delta_sweep,
-    faraday_sweep,
-    heterostructure_projection,
-    thickness_sweep_with_cavity,
-    thickness_sweep_without_cavity,
-)
+from .scattering import scatter
+from .sweeps import run_sweep
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -166,24 +156,7 @@ def _run_sweep(cfg: RunConfig) -> tuple[tuple, tuple, dict, int]:
     if spec is None:
         raise ConfigError("sweep command requires sweep_variable/sweep_lo/sweep_hi/sweep_count")
     preset, _ = resolve_preset(cfg)
-    if spec.variable is SweepVariable.FARADAY_ANGLE:
-        result = faraday_sweep(spec)
-    elif spec.variable is SweepVariable.THICKNESS:
-        if preset.configuration is Configuration.WITH_OPTICAL_CAVITY:
-            result = thickness_sweep_with_cavity(spec)
-        else:
-            result = thickness_sweep_without_cavity(spec)
-    elif spec.variable is SweepVariable.PROBE_DETUNING:
-        result = detuning_sweep(spec)
-    elif spec.variable is SweepVariable.DUMMY_DELTA:
-        result = dummy_delta_sweep(spec)
-    elif spec.variable is SweepVariable.LAYER_COUNT:
-        grid = np.unique(
-            np.rint(np.geomspace(max(spec.lo, 1.0), spec.hi, spec.count)).astype(int)
-        )
-        result = heterostructure_projection(n_layers=grid, preset=spec.preset)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ConfigError(f"unsupported sweep variable {spec.variable!r}")
+    result = run_sweep(spec, preset)
     provenance = dict(result.provenance)
     provenance["command"] = cfg.command.value
     return result.columns, result.rows, provenance, _EXIT_OK

@@ -4,7 +4,8 @@ Every sweep is deterministic (identical spec, bit-identical rows), every
 point is evaluated through the exact matrix solver, and rows carry the
 cooperativities alongside the efficiency so the curves are
 self-describing.  Sweep points are mutually independent; they are
-evaluated in spec order.
+evaluated in spec order.  Every sweep runs through :func:`run_sweep`,
+which takes an already resolved preset, so overrides hold at each point.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from ._version import __version__
 from .closed_forms import cooperativities
 from .constants import SPEED_OF_LIGHT, ordinary
 from .couplings import heterostructure_scaling, thickness_parameterized_couplings
+from .errors import ConfigError
 from .presets import Preset, assemble, get_preset
 from .scattering import Configuration, ModeSystem, scatter
 
@@ -28,6 +30,7 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "OptimalThickness",
+    "run_sweep",
     "faraday_sweep",
     "thickness_sweep_with_cavity",
     "thickness_sweep_without_cavity",
@@ -39,6 +42,7 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _THIN_SAMPLE_THRESHOLD = 0.1
+_PER_LAYER_THICKNESS = 1e-6  # m
 
 
 class SweepVariable(enum.Enum):
@@ -55,8 +59,7 @@ class SweepSpec:
 
     ``lo``/``hi`` are in the variable's natural external unit (ratio for
     the Faraday sweep, mm for thickness, Hz for detunings, count for
-    layers).  ``resonance_lock`` names the locking scheme applied before
-    sweeping.
+    layers).
     """
 
     preset: str
@@ -65,7 +68,6 @@ class SweepSpec:
     hi: float
     count: int
     scale: str = "log"            # "log" | "linear"
-    resonance_lock: str = "locked"
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -99,18 +101,152 @@ class SweepResult:
         return len(self.rows)
 
 
-def _provenance(spec: SweepSpec, configuration: Configuration, **extra) -> dict:
-    prov = {
-        "preset": spec.preset,
-        "configuration": configuration.value,
-        "code_version": __version__,
-        "variable": spec.variable.value,
-        "scale": spec.scale,
-        "resonance_lock": spec.resonance_lock,
-        "count": spec.count,
-    }
-    prov.update(extra)
-    return prov
+def _with_cavity_system_at_thickness(base: ModeSystem, thickness_m: float) -> ModeSystem:
+    c = thickness_parameterized_couplings(thickness_m)
+    return replace(base, g_beta=c.g_beta, zeta_beta=c.zeta_beta, g_alpha=0.0, zeta_alpha=0.0)
+
+
+_CAVITY_TAIL = ("c_em_beta", "c_om_beta", "g_beta_hz", "zeta_beta_hz")
+_ITINERANT_TAIL = ("c_em_beta", "eta_m_beta", "g_beta_hz", "xi_beta_hz", "thin_sample_ok")
+
+
+def _axis(variable: SweepVariable, base: ModeSystem, probe: float, per_layer_thickness: float):
+    """What one sweep variable contributes to the engine.
+
+    Returns the value column, ``point`` (grid value to the system and probe
+    frequency solved there), the tail columns, ``tail`` (solved system and
+    grid value to the cells after ``reflection``) and provenance extras.
+
+    Raises
+    ------
+    ConfigError
+        If the variable cannot act on the configuration of ``base``.
+    """
+    cavity = base.configuration is Configuration.WITH_OPTICAL_CAVITY
+
+    def cavity_tail(system: ModeSystem, _) -> tuple:
+        coop = cooperativities(system)
+        return (coop.c_em_beta, coop.c_om_beta, ordinary(system.g_beta), ordinary(system.zeta_beta))
+
+    def no_tail(system: ModeSystem, _) -> tuple:
+        return ()
+
+    if variable is SweepVariable.PROBE_DETUNING:
+        return ("probe_detuning_hz", lambda det_hz: (base, probe + 2.0 * math.pi * det_hz),
+                (), no_tail, {})
+    if variable is SweepVariable.THICKNESS and cavity:
+        return ("thickness_mm",
+                lambda d_mm: (_with_cavity_system_at_thickness(base, d_mm * 1e-3), probe),
+                _CAVITY_TAIL, cavity_tail, {})
+    if variable is SweepVariable.THICKNESS:
+        cap_m = _THIN_SAMPLE_THRESHOLD * SPEED_OF_LIGHT / base.omega_beta
+
+        def itinerant_point(d_mm: float) -> tuple[ModeSystem, float]:
+            c = thickness_parameterized_couplings(d_mm * 1e-3)
+            system = replace(base, g_beta=c.g_beta, xi_beta=c.xi_beta, g_alpha=0.0, xi_alpha=0.0)
+            return system, probe
+
+        def itinerant_tail(system: ModeSystem, d_mm: float) -> tuple:
+            coop = cooperativities(system)
+            return (coop.c_em_beta, coop.eta_m_beta, ordinary(system.g_beta),
+                    ordinary(system.xi_beta), bool(d_mm * 1e-3 <= cap_m))
+
+        return ("thickness_mm", itinerant_point, _ITINERANT_TAIL, itinerant_tail,
+                {"thin_sample_cap_mm": cap_m * 1e3})
+    if variable is SweepVariable.DUMMY_DELTA and not cavity:
+        return ("dummy_delta_over_gamma",
+                lambda factor: (replace(base, dummy_delta=base.gamma_beta * factor), probe),
+                (), no_tail, {})
+    if variable is SweepVariable.FARADAY_ANGLE and cavity:
+        def faraday_point(ratio: float) -> tuple[ModeSystem, float]:
+            zeta_alpha, zeta_beta = base.zeta_alpha * ratio, base.zeta_beta * ratio
+            return replace(base, zeta_alpha=zeta_alpha, zeta_beta=zeta_beta), probe
+
+        return "theta_f_ratio", faraday_point, _CAVITY_TAIL, cavity_tail, {}
+    if variable is SweepVariable.LAYER_COUNT and cavity:
+        per_layer = thickness_parameterized_couplings(per_layer_thickness)
+
+        def layer_point(n: int) -> tuple[ModeSystem, float]:
+            c = heterostructure_scaling(per_layer, n)
+            return replace(
+                base, g_beta=c.g_beta, zeta_beta=c.zeta_beta, g_alpha=0.0, zeta_alpha=0.0
+            ), probe
+
+        return ("n_layers", layer_point, _CAVITY_TAIL, cavity_tail,
+                {"per_layer_thickness_mm": per_layer_thickness * 1e3})
+    raise ConfigError(
+        f"sweep variable {variable.value!r} cannot act on the "
+        f"{base.configuration.value} configuration"
+    )
+
+
+def _sweep(
+    spec: SweepSpec, preset: Preset, grid, per_layer_thickness: float = _PER_LAYER_THICKNESS
+) -> SweepResult:
+    """The one point loop behind every sweep: assemble once, solve each grid value."""
+    assembled = assemble(preset)
+    base = assembled.system
+    value_column, point, tail_columns, tail, extra = _axis(
+        spec.variable, base, assembled.probe, per_layer_thickness
+    )
+    grid = np.asarray(grid)
+    rows = []
+    etas = []
+    for x, value in zip(grid, grid.tolist()):
+        system, omega = point(x)
+        res = scatter(system, omega)
+        etas.append(res.eta)
+        rows.append(
+            (spec.preset, system.configuration.value, value, res.eta, res.reflection)
+            + tail(system, x)
+        )
+    if spec.variable is SweepVariable.PROBE_DETUNING:
+        extra["fwhm_hz"] = _full_width_half_max(grid, np.asarray(etas))
+    return SweepResult(
+        columns=("preset", "configuration", value_column, "eta", "reflection") + tail_columns,
+        rows=tuple(rows),
+        provenance={
+            "preset": spec.preset,
+            "configuration": base.configuration.value,
+            "code_version": __version__,
+            "variable": spec.variable.value,
+            "scale": spec.scale,
+            "resonance_lock": "locked",
+            "count": spec.count,
+            **extra,
+        },
+    )
+
+
+def _layer_counts(n_layers: Iterable) -> tuple[int, ...]:
+    layers = tuple(sorted({int(n) for n in n_layers}))
+    if any(n < 1 for n in layers):
+        raise ValueError("layer counts must be >= 1")
+    if len(layers) < 2:
+        raise ValueError("layer-count sweep needs at least 2 distinct counts")
+    return layers
+
+
+def run_sweep(spec: SweepSpec, preset: Preset) -> SweepResult:
+    """Run one sweep on an already resolved preset.
+
+    The preset is assembled once, so every override resolved into it
+    holds at every point.  Thickness sweeps follow the preset's
+    configuration (optical cavity or itinerant light); a layer-count
+    sweep runs over the distinct integers of the rounded log grid from
+    max(lo, 1) to hi and reports them as heterostructure_projection does.
+
+    Raises
+    ------
+    ConfigError
+        If the variable cannot act on the preset's configuration:
+        faraday-angle and layer-count need an optical cavity, dummy-delta
+        needs itinerant light.
+    """
+    if spec.variable is not SweepVariable.LAYER_COUNT:
+        return _sweep(spec, preset, spec.grid())
+    layers = _layer_counts(np.rint(np.geomspace(max(spec.lo, 1.0), spec.hi, spec.count)))
+    return _sweep(replace(spec, count=len(layers), scale="linear"), preset, layers)
 
 
 def faraday_sweep(spec: SweepSpec | None = None) -> SweepResult:
@@ -123,50 +259,9 @@ def faraday_sweep(spec: SweepSpec | None = None) -> SweepResult:
     small.
     """
     if spec is None:
-        spec = SweepSpec(
-            preset="mnf2-easyaxis-20GHz",
-            variable=SweepVariable.FARADAY_ANGLE,
-            lo=1e-2,
-            hi=1.0,
-            count=61,
-        )
-    assembled = assemble(get_preset(spec.preset))
-    base = assembled.system
-    rows = []
-    for ratio in spec.grid():
-        system = replace(
-            base,
-            zeta_alpha=base.zeta_alpha * ratio,
-            zeta_beta=base.zeta_beta * ratio,
-        )
-        res = scatter(system, assembled.probe)
-        coop = cooperativities(system)
-        rows.append(
-            (
-                spec.preset,
-                system.configuration.value,
-                float(ratio),
-                res.eta,
-                res.reflection,
-                coop.c_em_beta,
-                coop.c_om_beta,
-                ordinary(system.g_beta),
-                ordinary(system.zeta_beta),
-            )
-        )
-    return SweepResult(
-        columns=(
-            "preset", "configuration", "theta_f_ratio", "eta", "reflection",
-            "c_em_beta", "c_om_beta", "g_beta_hz", "zeta_beta_hz",
-        ),
-        rows=tuple(rows),
-        provenance=_provenance(spec, base.configuration),
-    )
-
-
-def _with_cavity_system_at_thickness(base: ModeSystem, thickness_m: float) -> ModeSystem:
-    c = thickness_parameterized_couplings(thickness_m)
-    return replace(base, g_beta=c.g_beta, zeta_beta=c.zeta_beta, g_alpha=0.0, zeta_alpha=0.0)
+        spec = SweepSpec("mnf2-easyaxis-20GHz", SweepVariable.FARADAY_ANGLE,
+                         lo=1e-2, hi=1.0, count=61)
+    return run_sweep(spec, get_preset(spec.preset))
 
 
 def thickness_sweep_with_cavity(spec: SweepSpec | None = None) -> SweepResult:
@@ -181,41 +276,9 @@ def thickness_sweep_with_cavity(spec: SweepSpec | None = None) -> SweepResult:
     amplitude |S41| = sqrt(eta) as d^+1 and d^-1.
     """
     if spec is None:
-        spec = SweepSpec(
-            preset="mnf2-easyaxis-20GHz",
-            variable=SweepVariable.THICKNESS,
-            lo=1e-6,
-            hi=1e2,
-            count=161,
-        )
-    assembled = assemble(get_preset(spec.preset))
-    base = assembled.system
-    rows = []
-    for d_mm in spec.grid():
-        system = _with_cavity_system_at_thickness(base, d_mm * 1e-3)
-        res = scatter(system, assembled.probe)
-        coop = cooperativities(system)
-        rows.append(
-            (
-                spec.preset,
-                system.configuration.value,
-                float(d_mm),
-                res.eta,
-                res.reflection,
-                coop.c_em_beta,
-                coop.c_om_beta,
-                ordinary(system.g_beta),
-                ordinary(system.zeta_beta),
-            )
-        )
-    return SweepResult(
-        columns=(
-            "preset", "configuration", "thickness_mm", "eta", "reflection",
-            "c_em_beta", "c_om_beta", "g_beta_hz", "zeta_beta_hz",
-        ),
-        rows=tuple(rows),
-        provenance=_provenance(spec, base.configuration),
-    )
+        spec = SweepSpec("mnf2-easyaxis-20GHz", SweepVariable.THICKNESS,
+                         lo=1e-6, hi=1e2, count=161)
+    return run_sweep(spec, get_preset(spec.preset))
 
 
 def thickness_sweep_without_cavity(spec: SweepSpec | None = None) -> SweepResult:
@@ -227,47 +290,9 @@ def thickness_sweep_without_cavity(spec: SweepSpec | None = None) -> SweepResult
     flagged invalid; the cap itself is surfaced in the provenance.
     """
     if spec is None:
-        spec = SweepSpec(
-            preset="mnf2-nocavity-20GHz",
-            variable=SweepVariable.THICKNESS,
-            lo=1e-6,
-            hi=1.0,
-            count=121,
-        )
-    assembled = assemble(get_preset(spec.preset))
-    base = assembled.system
-    cap_m = _THIN_SAMPLE_THRESHOLD * SPEED_OF_LIGHT / base.omega_beta
-    rows = []
-    for d_mm in spec.grid():
-        d_m = d_mm * 1e-3
-        c = thickness_parameterized_couplings(d_m)
-        system = replace(base, g_beta=c.g_beta, xi_beta=c.xi_beta, g_alpha=0.0, xi_alpha=0.0)
-        res = scatter(system, assembled.probe)
-        coop = cooperativities(system)
-        rows.append(
-            (
-                spec.preset,
-                system.configuration.value,
-                float(d_mm),
-                res.eta,
-                res.reflection,
-                coop.c_em_beta,
-                coop.eta_m_beta,
-                ordinary(system.g_beta),
-                ordinary(system.xi_beta),
-                bool(d_m <= cap_m),
-            )
-        )
-    return SweepResult(
-        columns=(
-            "preset", "configuration", "thickness_mm", "eta", "reflection",
-            "c_em_beta", "eta_m_beta", "g_beta_hz", "xi_beta_hz", "thin_sample_ok",
-        ),
-        rows=tuple(rows),
-        provenance=_provenance(
-            spec, base.configuration, thin_sample_cap_mm=cap_m * 1e3
-        ),
-    )
+        spec = SweepSpec("mnf2-nocavity-20GHz", SweepVariable.THICKNESS,
+                         lo=1e-6, hi=1.0, count=121)
+    return run_sweep(spec, get_preset(spec.preset))
 
 
 def detuning_sweep(spec: SweepSpec) -> SweepResult:
@@ -277,30 +302,7 @@ def detuning_sweep(spec: SweepSpec) -> SweepResult:
     full width at half maximum of the response is reported in the
     provenance.
     """
-    assembled = assemble(get_preset(spec.preset))
-    base = assembled.system
-    detunings_hz = spec.grid()
-    rows = []
-    etas = []
-    for det_hz in detunings_hz:
-        omega = assembled.probe + 2.0 * math.pi * det_hz
-        res = scatter(base, omega)
-        etas.append(res.eta)
-        rows.append(
-            (
-                spec.preset,
-                base.configuration.value,
-                float(det_hz),
-                res.eta,
-                res.reflection,
-            )
-        )
-    fwhm = _full_width_half_max(np.asarray(detunings_hz, dtype=float), np.asarray(etas))
-    return SweepResult(
-        columns=("preset", "configuration", "probe_detuning_hz", "eta", "reflection"),
-        rows=tuple(rows),
-        provenance=_provenance(spec, base.configuration, fwhm_hz=fwhm),
-    )
+    return run_sweep(spec, get_preset(spec.preset))
 
 
 def _full_width_half_max(x: np.ndarray, y: np.ndarray) -> float | None:
@@ -331,38 +333,14 @@ def dummy_delta_sweep(spec: SweepSpec | None = None) -> SweepResult:
     the sweep varies it over decades around the magnon linewidth.
     """
     if spec is None:
-        spec = SweepSpec(
-            preset="mnf2-nocavity-20GHz",
-            variable=SweepVariable.DUMMY_DELTA,
-            lo=1e-3,
-            hi=1e3,
-            count=25,
-        )
-    assembled = assemble(get_preset(spec.preset))
-    base = assembled.system
-    rows = []
-    for factor in spec.grid():
-        system = replace(base, dummy_delta=base.gamma_beta * factor)
-        res = scatter(system, assembled.probe)
-        rows.append(
-            (
-                spec.preset,
-                base.configuration.value,
-                float(factor),
-                res.eta,
-                res.reflection,
-            )
-        )
-    return SweepResult(
-        columns=("preset", "configuration", "dummy_delta_over_gamma", "eta", "reflection"),
-        rows=tuple(rows),
-        provenance=_provenance(spec, base.configuration),
-    )
+        spec = SweepSpec("mnf2-nocavity-20GHz", SweepVariable.DUMMY_DELTA,
+                         lo=1e-3, hi=1e3, count=25)
+    return run_sweep(spec, get_preset(spec.preset))
 
 
 def heterostructure_projection(
     n_layers: Iterable[int] | None = None,
-    per_layer_thickness: float = 1e-6,
+    per_layer_thickness: float = _PER_LAYER_THICKNESS,
     preset: str = "mnf2-easyaxis-20GHz",
 ) -> SweepResult:
     """Efficiency of a layered stack against the layer count.
@@ -376,53 +354,10 @@ def heterostructure_projection(
     """
     if n_layers is None:
         n_layers = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
-    layers = tuple(sorted({int(n) for n in n_layers}))
-    if any(n < 1 for n in layers):
-        raise ValueError("layer counts must be >= 1")
-    if len(layers) < 2:
-        raise ValueError("layer-count sweep needs at least 2 distinct counts")
-    assembled = assemble(get_preset(preset))
-    base = assembled.system
-    per_layer = thickness_parameterized_couplings(per_layer_thickness)
-    rows = []
-    for n in layers:
-        c = heterostructure_scaling(per_layer, n)
-        system = replace(
-            base, g_beta=c.g_beta, zeta_beta=c.zeta_beta, g_alpha=0.0, zeta_alpha=0.0
-        )
-        res = scatter(system, assembled.probe)
-        coop = cooperativities(system)
-        rows.append(
-            (
-                preset,
-                base.configuration.value,
-                n,
-                res.eta,
-                res.reflection,
-                coop.c_em_beta,
-                coop.c_om_beta,
-                ordinary(system.g_beta),
-                ordinary(system.zeta_beta),
-            )
-        )
-    spec = SweepSpec(
-        preset=preset,
-        variable=SweepVariable.LAYER_COUNT,
-        lo=float(layers[0]),
-        hi=float(layers[-1]),
-        count=len(layers),
-        scale="linear",
-    )
-    return SweepResult(
-        columns=(
-            "preset", "configuration", "n_layers", "eta", "reflection",
-            "c_em_beta", "c_om_beta", "g_beta_hz", "zeta_beta_hz",
-        ),
-        rows=tuple(rows),
-        provenance=_provenance(
-            spec, base.configuration, per_layer_thickness_mm=per_layer_thickness * 1e3
-        ),
-    )
+    layers = _layer_counts(n_layers)
+    spec = SweepSpec(preset, SweepVariable.LAYER_COUNT, lo=float(layers[0]),
+                     hi=float(layers[-1]), count=len(layers), scale="linear")
+    return _sweep(spec, get_preset(preset), layers, per_layer_thickness)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Command-line surface: commands, exit codes, artifacts."""
 
 import json
+import math
 
 import pytest
 
 from afm_transducer.cli import main
+from afm_transducer.presets import get_preset
 
 
 def run_cli(capsys, *argv):
@@ -152,3 +154,70 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "efficiency")
         assert code == 2
         assert "either --config or --preset" in json.loads(err)["message"]
+
+
+OVERRIDE = "gamma_beta_hz=37 MHz"
+
+
+def sweep_rows(capsys, preset, sets):
+    argv = ["sweep", "--preset", preset]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    return parse_csv(out)
+
+
+class TestSweepOverrides:
+    @pytest.mark.parametrize("preset, sweep_sets", [
+        ("mnf2-easyaxis-20GHz", ["sweep_variable=faraday-angle", "sweep_lo=0.01",
+                                 "sweep_hi=1", "sweep_count=7"]),
+        ("mnf2-easyaxis-20GHz", ["sweep_variable=thickness", "sweep_lo=1e-6",
+                                 "sweep_hi=10", "sweep_count=9"]),
+        ("mnf2-nocavity-20GHz", ["sweep_variable=thickness", "sweep_lo=1e-6",
+                                 "sweep_hi=1", "sweep_count=9"]),
+        ("mnf2-easyaxis-20GHz", ["sweep_variable=layer-count", "sweep_lo=1",
+                                 "sweep_hi=5000", "sweep_count=8"]),
+    ])
+    def test_rows_follow_resolved_rates(self, capsys, preset, sweep_sets):
+        plain = sweep_rows(capsys, preset, sweep_sets)
+        rows = sweep_rows(capsys, preset, sweep_sets + [OVERRIDE])
+        assert len(rows) == len(plain)
+        assert all(row["eta"] != old["eta"] for row, old in zip(rows, plain))
+        cavity = get_preset(preset).cavity
+        kappa_e = cavity.kappa_ee + cavity.kappa_ei
+        gamma_beta = 2.0 * math.pi * 37e6
+        for row in rows:
+            g = 2.0 * math.pi * float(row["g_beta_hz"])
+            expected = 4.0 * g * g / (kappa_e * gamma_beta)
+            assert float(row["c_em_beta"]) == pytest.approx(expected, rel=1e-11)
+
+    def test_detuning_zero_matches_efficiency(self, capsys):
+        preset = "mnf2-easyaxis-20GHz"
+        sweep_sets = ["sweep_variable=probe-detuning", "sweep_lo=-1e9", "sweep_hi=1e9",
+                      "sweep_count=5", "sweep_scale=linear"]
+        plain = sweep_rows(capsys, preset, sweep_sets)
+        rows = sweep_rows(capsys, preset, sweep_sets + [OVERRIDE])
+        code, out, _ = run_cli(capsys, "efficiency", "--preset", preset, "--set", OVERRIDE)
+        assert code == 0
+        at_zero = [i for i, row in enumerate(rows) if float(row["probe_detuning_hz"]) == 0.0]
+        assert len(at_zero) == 1
+        assert rows[at_zero[0]]["eta"] == parse_csv(out)[0]["eta"]
+        assert rows[at_zero[0]]["eta"] != plain[at_zero[0]]["eta"]
+
+
+class TestSweepVariableConfiguration:
+    @pytest.mark.parametrize("preset, variable, configuration", [
+        ("mnf2-nocavity-20GHz", "faraday-angle", "without-optical-cavity"),
+        ("mnf2-nocavity-20GHz", "layer-count", "without-optical-cavity"),
+        ("mnf2-easyaxis-20GHz", "dummy-delta", "with-optical-cavity"),
+    ])
+    def test_variable_rejected_on_configuration(self, capsys, preset, variable, configuration):
+        code, out, err = run_cli(
+            capsys, "sweep", "--preset", preset, "--set", f"sweep_variable={variable}",
+            "--set", "sweep_lo=1", "--set", "sweep_hi=10", "--set", "sweep_count=3",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert variable in error["message"] and configuration in error["message"]

@@ -1,6 +1,7 @@
 """Sweep engine: figure reproduction, optimizer, determinism."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +269,24 @@ class TestSpecValidation:
             lo=0.1, hi=1.0, count=7,
         )
         assert len(faraday_sweep(spec)) == 7
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, run", [
+    ("faraday_angle.csv", faraday_sweep),
+    ("thickness_with_cavity.csv", thickness_sweep_with_cavity),
+    ("thickness_no_cavity.csv", thickness_sweep_without_cavity),
+    ("heterostructure.csv", heterostructure_projection),
+    ("detuning_response.csv", lambda: detuning_sweep(SweepSpec(
+        preset="mnf2-easyaxis-20GHz", variable=SweepVariable.PROBE_DETUNING,
+        lo=-2e9, hi=2e9, count=401, scale="linear",
+    ))),
+])
+def test_default_sweeps_match_goldens(name, run):
+    # the CSVs scripts/reproduce_sweeps.py writes; a moved digit is a finding
+    # to report, never a reason to regenerate the file
+    result = run()
+    payload = render_csv(result.columns, result.rows, result.provenance)
+    assert payload == (GOLDEN / name).read_bytes()
