@@ -79,7 +79,6 @@ from .sweeps import (
     SweepSpec,
     SweepVariable,
     detuning_sweep,
-    dummy_delta_sweep,
     faraday_sweep,
     find_optimal_thickness,
     heterostructure_projection,

@@ -17,14 +17,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .constants import angular
-from .couplings import DriveParams, SampleGeometry
+from .couplings import SampleGeometry
 from .errors import ConfigError
 from .presets import Preset, get_preset
 from .sweeps import SweepSpec, SweepVariable
 
 __all__ = ["Command", "RunConfig", "load_config", "parse_assignment", "resolve_preset"]
-
-_DEG_PER_MM = math.pi / 180.0 / 1e-3
 
 # case-sensitive: 'mHz' (milli) and 'MHz' (mega) must not collide
 _FREQ_SUFFIXES = {
@@ -96,13 +94,11 @@ _PARSERS = {
     "delta_omega_o_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=True),
     "n_cav": lambda t, k, l: _parse_float(t, k, l, minimum=0.0),
     "g0_slope_mhz_per_sqrt_ghz": lambda t, k, l: _parse_float(t, k, l, minimum=0.0),
-    "overlap_eta": lambda t, k, l: _parse_float(t, k, l, minimum=0.0, strict=True),
     # magnon modes
     "omega_alpha_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
     "omega_beta_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
     "gamma_alpha_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
     "gamma_beta_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
-    "dummy_delta_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
     # material
     "omega_exchange_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
     "omega_easyaxis_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
@@ -110,17 +106,13 @@ _PARSERS = {
     "gyro_hz_per_t": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
     "spin_density_per_mm3": lambda t, k, l: _parse_float(t, k, l, minimum=0.0, strict=True),
     "asymmetry_k": lambda t, k, l: _parse_float(t, k, l),
-    "theta_f_deg_per_mm": lambda t, k, l: _parse_float(t, k, l, minimum=0.0),
-    "eps_r": lambda t, k, l: _parse_float(t, k, l, minimum=1.0),
     "kappa_mo_alpha": lambda t, k, l: _parse_float(t, k, l, minimum=0.0),
     "kappa_mo_beta": lambda t, k, l: _parse_float(t, k, l, minimum=0.0),
     # geometry
     "thickness_mm": lambda t, k, l: _parse_float(t, k, l, minimum=0.0, strict=True),
     "cross_section_mm2": lambda t, k, l: _parse_float(t, k, l, minimum=0.0, strict=True),
     "layer_count": lambda t, k, l: _parse_int(t, k, l, minimum=1),
-    # drive and static field
-    "power_w": lambda t, k, l: _parse_float(t, k, l, minimum=0.0),
-    "omega_drive_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
+    # static field
     "b0_t": lambda t, k, l: _parse_float(t, k, l, minimum=0.0),
     # sweep block
     "sweep_variable": lambda t, k, l: _parse_sweep_variable(t, l),
@@ -286,8 +278,6 @@ def resolve_preset(cfg: RunConfig) -> tuple[Preset, dict]:
         cavity_updates["n_cav"] = ov.pop("n_cav")
     if "g0_slope_mhz_per_sqrt_ghz" in ov:
         cavity_updates["g0_slope"] = ov.pop("g0_slope_mhz_per_sqrt_ghz") * 1e-3 / math.sqrt(1e9)
-    if "overlap_eta" in ov:
-        cavity_updates["overlap_eta"] = ov.pop("overlap_eta")
     if cavity_updates:
         cavity = replace(cavity, **cavity_updates)
 
@@ -305,10 +295,6 @@ def resolve_preset(cfg: RunConfig) -> tuple[Preset, dict]:
         material_updates["spin_density"] = ov.pop("spin_density_per_mm3") * 1e9
     if "asymmetry_k" in ov:
         material_updates["asymmetry_K"] = ov.pop("asymmetry_k")
-    if "theta_f_deg_per_mm" in ov:
-        material_updates["theta_F"] = ov.pop("theta_f_deg_per_mm") * _DEG_PER_MM
-    if "eps_r" in ov:
-        material_updates["eps_r"] = ov.pop("eps_r")
     if material_updates:
         material = replace(material, **material_updates)
 
@@ -327,16 +313,6 @@ def resolve_preset(cfg: RunConfig) -> tuple[Preset, dict]:
             layer_count=geometry_updates.get("layer_count", geometry.layer_count),
         )
 
-    drive = preset.drive
-    if "power_w" in ov or "omega_drive_hz" in ov:
-        power = ov.pop("power_w", drive.power if drive else 0.0)
-        omega_drive = (
-            angular(ov.pop("omega_drive_hz"))
-            if "omega_drive_hz" in ov
-            else (drive.omega_drive if drive else angular(193e12))
-        )
-        drive = DriveParams(power=power, omega_drive=omega_drive)
-
     kappa_mo = preset.kappa_mo_override
     if "kappa_mo_alpha" in ov or "kappa_mo_beta" in ov:
         base = kappa_mo if kappa_mo is not None else (0.0, 0.0)
@@ -349,7 +325,6 @@ def resolve_preset(cfg: RunConfig) -> tuple[Preset, dict]:
         "material": material,
         "geometry": geometry,
         "cavity": cavity,
-        "drive": drive,
         "kappa_mo_override": kappa_mo,
     }
     for key, attr in (
@@ -357,7 +332,6 @@ def resolve_preset(cfg: RunConfig) -> tuple[Preset, dict]:
         ("omega_beta_hz", "omega_beta"),
         ("gamma_alpha_hz", "gamma_alpha"),
         ("gamma_beta_hz", "gamma_beta"),
-        ("dummy_delta_hz", "dummy_delta"),
     ):
         if key in ov:
             preset_updates[attr] = angular(ov.pop(key))

@@ -92,7 +92,6 @@ class CavityParams:
     kappa_oi: float
     n_cav: float
     g0_slope: float
-    overlap_eta: float = 1.0
 
     def __post_init__(self):
         for name in ("kappa_ee", "kappa_ei", "kappa_oe", "kappa_oi"):
@@ -104,8 +103,6 @@ class CavityParams:
             raise ValueError("omega_e must be positive")
         if self.n_cav < 0:
             raise ValueError("n_cav must be non-negative")
-        if not 0.0 < self.overlap_eta <= 1.0:
-            raise ValueError("overlap_eta must be in (0, 1]")
 
     @property
     def kappa_e(self) -> float:

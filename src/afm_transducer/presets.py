@@ -22,11 +22,9 @@ from .constants import angular
 from .couplings import (
     CavityParams,
     CouplingSet,
-    DriveParams,
     SampleGeometry,
     cavity_enhanced_zeta,
     heterostructure_scaling,
-    itinerant_xi,
     microwave_coupling,
     optical_coupling,
     thickness_parameterized_couplings,
@@ -92,19 +90,14 @@ class Preset:
     omega_beta: float
     gamma_alpha: float
     gamma_beta: float
-    drive: DriveParams | None = None
     kappa_mo_override: tuple[float, float] | None = None
     g_override: tuple[float, float] | None = None
     zeta_override: tuple[float, float] | None = None
     active_modes: str = "beta"          # "alpha" | "beta" | "both"
-    xi_backend: str = "thickness-law"   # "thickness-law" | "transit-formula"
-    dummy_delta: float | None = None    # None -> gamma_beta
 
     def __post_init__(self):
         if self.active_modes not in ("alpha", "beta", "both"):
             raise ValueError("active_modes must be 'alpha', 'beta' or 'both'")
-        if self.xi_backend not in ("thickness-law", "transit-formula"):
-            raise ValueError("xi_backend must be 'thickness-law' or 'transit-formula'")
 
 
 @dataclass(frozen=True)
@@ -198,10 +191,8 @@ def _preset_mnf2_nocavity_20ghz() -> Preset:
         omega_beta=angular(20e9),
         gamma_alpha=angular(100e6),
         gamma_beta=angular(100e6),
-        drive=DriveParams(power=15e-3, omega_drive=angular(193e12)),
         kappa_mo_override=(0.5, 0.4),
         active_modes="beta",
-        xi_backend="thickness-law",
     )
 
 
@@ -281,16 +272,8 @@ def assemble(preset: Preset) -> AssembledSystem:
             zeta_beta = cavity_enhanced_zeta(big_g_beta, p.cavity.n_cav)
             sources["zeta"] = "computed"
     else:
-        if p.xi_backend == "thickness-law":
-            xi_beta = thickness_parameterized_couplings(p.geometry.thickness).xi_beta
-            xi_alpha = 0.0
-            sources["xi"] = "thickness-law"
-        else:
-            if p.drive is None:
-                raise ValueError("transit-formula xi backend requires drive parameters")
-            xi_alpha = itinerant_xi(big_g_alpha, p.geometry, p.drive)
-            xi_beta = itinerant_xi(big_g_beta, p.geometry, p.drive)
-            sources["xi"] = "transit-formula"
+        xi_beta = thickness_parameterized_couplings(p.geometry.thickness).xi_beta
+        sources["xi"] = "thickness-law"
 
     couplings = CouplingSet(
         g_alpha=g_alpha, g_beta=g_beta,
@@ -329,7 +312,6 @@ def assemble(preset: Preset) -> AssembledSystem:
         zeta_beta=sys_zeta_beta,
         xi_alpha=sys_xi_alpha,
         xi_beta=sys_xi_beta,
-        dummy_delta=(p.dummy_delta if p.dummy_delta is not None else p.gamma_beta),
     )
     return AssembledSystem(
         preset_name=p.name,

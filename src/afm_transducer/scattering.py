@@ -1,14 +1,16 @@
 """Coupled-mode dynamics matrices and the exact scattering solution.
 
-The four internal modes are ordered (microwave cavity, magnon alpha,
-magnon beta, optical mode).  The frequency-domain scattering matrix is
+The internal modes are ordered (microwave cavity, magnon alpha, magnon
+beta, optical mode); without an optical cavity there is no fourth mode.
+The frequency-domain scattering matrix is
 
     S(omega) = I - B^T [-i omega I + A]^{-1} B
 
 where A collects mode frequencies, decay rates and couplings and B the
-port couplings.  Ports are the itinerant microwave field on index 0 and
-the itinerant optical field on index 3; the transduction efficiency is
-|S[3, 0]|^2 and the microwave reflection |S[0, 0]|^2.
+couplings of the modes to the four ports.  Ports are the itinerant
+microwave field on index 0 and the itinerant optical field on index 3;
+the transduction efficiency is |S[3, 0]|^2 and the microwave reflection
+|S[0, 0]|^2.
 """
 
 from __future__ import annotations
@@ -48,14 +50,14 @@ class Configuration(enum.Enum):
 
 @dataclass(frozen=True)
 class ModeSystem:
-    """Assembled four-mode system for one configuration (all rad/s).
+    """Assembled mode system for one configuration (all rad/s).
 
     With an optical cavity the zeta couplings and optical decay rates are
-    active and the xi fields must stay zero; without one, the xi fields
-    drive the conversion and ``dummy_delta`` regularizes the unused
-    fourth diagonal slot of the dynamics matrix.  ``delta_omega_o`` is a
-    signed detuning; the optical response peaks at probe frequency
-    -delta_omega_o, so resonance locking sets it to minus the probe.
+    active and the xi fields must stay zero; without one, there are three
+    modes and the xi fields couple the magnons directly to the itinerant
+    light.  ``delta_omega_o`` is a signed detuning; the optical response
+    peaks at probe frequency -delta_omega_o, so resonance locking sets it
+    to minus the probe.
     """
 
     configuration: Configuration
@@ -75,7 +77,6 @@ class ModeSystem:
     zeta_beta: float = 0.0
     xi_alpha: float = 0.0
     xi_beta: float = 0.0
-    dummy_delta: float = 0.0
 
     def __post_init__(self):
         # decay rates and the square-rooted xi couplings must be non-negative;
@@ -106,7 +107,11 @@ class ModeSystem:
 
 @dataclass(frozen=True)
 class DynamicsMatrices:
-    """The matrices A (complex symmetric) and B (real port couplings)."""
+    """The matrices A (complex symmetric) and B (real port couplings).
+
+    A is modes x modes and B modes x 4 ports; there are four modes with
+    an optical cavity and three without one.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -118,7 +123,7 @@ class DynamicsMatrices:
 
 
 def build_dynamics(system: ModeSystem) -> DynamicsMatrices:
-    """Assemble the 4x4 dynamics matrices of the configuration.
+    """Assemble the dynamics matrices of the configuration.
 
     With an optical cavity:
 
@@ -127,28 +132,28 @@ def build_dynamics(system: ModeSystem) -> DynamicsMatrices:
              [i g_b,         0,              i w_b + gam_b/2, i zeta_b    ],
              [0,             i zeta_a,       i zeta_b,       -i dwo + k_o/2]]
 
-    and B = diag(sqrt(k_ee), 0, 0, sqrt(k_oe)).  Without one, the fourth
-    row and column of A are empty except for A[3, 3] = dummy_delta, and
-    the optical input enters the magnon rows through B[1, 3] =
-    sqrt(xi_a), B[2, 3] = sqrt(xi_b).  Physical outputs do not depend on
-    dummy_delta; it only keeps the matrix invertible.
+    and B = diag(sqrt(k_ee), 0, 0, sqrt(k_oe)).  Without one, A is the
+    3x3 block of (microwave, alpha, beta), B is 3x4, and the optical
+    port enters the magnon rows through B[1, 3] = sqrt(xi_a) and
+    B[2, 3] = sqrt(xi_b).
     """
     s = system
-    a = np.zeros((4, 4), dtype=complex)
-    b = np.zeros((4, 4), dtype=float)
+    cavity = s.configuration is Configuration.WITH_OPTICAL_CAVITY
+    modes = 4 if cavity else 3
+    a = np.zeros((modes, modes), dtype=complex)
+    b = np.zeros((modes, 4), dtype=float)
     a[0, 0] = 1j * s.omega_e + s.kappa_e / 2.0
     a[1, 1] = 1j * s.omega_alpha + s.gamma_alpha / 2.0
     a[2, 2] = 1j * s.omega_beta + s.gamma_beta / 2.0
     a[0, 1] = a[1, 0] = 1j * s.g_alpha
     a[0, 2] = a[2, 0] = 1j * s.g_beta
     b[0, 0] = math.sqrt(s.kappa_ee)
-    if s.configuration is Configuration.WITH_OPTICAL_CAVITY:
+    if cavity:
         a[3, 3] = -1j * s.delta_omega_o + s.kappa_o / 2.0
         a[1, 3] = a[3, 1] = 1j * s.zeta_alpha
         a[2, 3] = a[3, 2] = 1j * s.zeta_beta
         b[3, 3] = math.sqrt(s.kappa_oe)
     else:
-        a[3, 3] = s.dummy_delta
         b[1, 3] = math.sqrt(s.xi_alpha)
         b[2, 3] = math.sqrt(s.xi_beta)
     return DynamicsMatrices(a=a, b=b, configuration=s.configuration)
@@ -182,16 +187,13 @@ def solve_complex_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def scattering_matrix(dm: DynamicsMatrices, omega: float) -> np.ndarray:
     """Exact scattering matrix S(omega) = I - B^T [-i omega I + A]^{-1} B."""
-    m = -1j * omega * np.eye(4) + dm.a
+    m = -1j * omega * np.eye(len(dm.a)) + dm.a
     try:
         x = solve_complex_linear(m, dm.b)
     except SingularMatrixError as exc:
-        hint = ""
-        if dm.configuration is Configuration.WITHOUT_OPTICAL_CAVITY:
-            hint = " (without-optical-cavity: is dummy_delta zero at probe omega = 0?)"
         raise SingularMatrixError(
             f"cannot invert dynamics at omega = {omega:g} rad/s in the "
-            f"{dm.configuration.value} configuration{hint}"
+            f"{dm.configuration.value} configuration"
         ) from exc
     return np.eye(4) - dm.b.T @ x
 

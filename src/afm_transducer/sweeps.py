@@ -35,7 +35,6 @@ __all__ = [
     "thickness_sweep_with_cavity",
     "thickness_sweep_without_cavity",
     "detuning_sweep",
-    "dummy_delta_sweep",
     "heterostructure_projection",
     "find_optimal_thickness",
 ]
@@ -50,7 +49,6 @@ class SweepVariable(enum.Enum):
     THICKNESS = "thickness"
     PROBE_DETUNING = "probe-detuning"
     LAYER_COUNT = "layer-count"
-    DUMMY_DELTA = "dummy-delta"
 
 
 @dataclass(frozen=True)
@@ -128,12 +126,9 @@ def _axis(variable: SweepVariable, base: ModeSystem, probe: float, per_layer_thi
         coop = cooperativities(system)
         return (coop.c_em_beta, coop.c_om_beta, ordinary(system.g_beta), ordinary(system.zeta_beta))
 
-    def no_tail(system: ModeSystem, _) -> tuple:
-        return ()
-
     if variable is SweepVariable.PROBE_DETUNING:
         return ("probe_detuning_hz", lambda det_hz: (base, probe + 2.0 * math.pi * det_hz),
-                (), no_tail, {})
+                (), lambda system, _: (), {})
     if variable is SweepVariable.THICKNESS and cavity:
         return ("thickness_mm",
                 lambda d_mm: (_with_cavity_system_at_thickness(base, d_mm * 1e-3), probe),
@@ -153,10 +148,6 @@ def _axis(variable: SweepVariable, base: ModeSystem, probe: float, per_layer_thi
 
         return ("thickness_mm", itinerant_point, _ITINERANT_TAIL, itinerant_tail,
                 {"thin_sample_cap_mm": cap_m * 1e3})
-    if variable is SweepVariable.DUMMY_DELTA and not cavity:
-        return ("dummy_delta_over_gamma",
-                lambda factor: (replace(base, dummy_delta=base.gamma_beta * factor), probe),
-                (), no_tail, {})
     if variable is SweepVariable.FARADAY_ANGLE and cavity:
         def faraday_point(ratio: float) -> tuple[ModeSystem, float]:
             zeta_alpha, zeta_beta = base.zeta_alpha * ratio, base.zeta_beta * ratio
@@ -240,8 +231,7 @@ def run_sweep(spec: SweepSpec, preset: Preset) -> SweepResult:
     ------
     ConfigError
         If the variable cannot act on the preset's configuration:
-        faraday-angle and layer-count need an optical cavity, dummy-delta
-        needs itinerant light.
+        faraday-angle and layer-count need an optical cavity.
     """
     if spec.variable is not SweepVariable.LAYER_COUNT:
         return _sweep(spec, preset, spec.grid())
@@ -324,18 +314,6 @@ def _full_width_half_max(x: np.ndarray, y: np.ndarray) -> float | None:
     if left is None or right is None:
         return None
     return float(right - left)
-
-
-def dummy_delta_sweep(spec: SweepSpec | None = None) -> SweepResult:
-    """Flatness check of the regularizer in the itinerant configuration.
-
-    The physical outputs must not depend on the dummy diagonal entry;
-    the sweep varies it over decades around the magnon linewidth.
-    """
-    if spec is None:
-        spec = SweepSpec("mnf2-nocavity-20GHz", SweepVariable.DUMMY_DELTA,
-                         lo=1e-3, hi=1e3, count=25)
-    return run_sweep(spec, get_preset(spec.preset))
 
 
 def heterostructure_projection(

@@ -58,7 +58,6 @@ def draw_without_cavity_system(rng: np.random.Generator) -> ModeSystem:
         g_beta=TWO_PI * 10 ** rng.uniform(4.0, 7.5),
         xi_alpha=TWO_PI * 10 ** rng.uniform(-8.0, -2.0),
         xi_beta=TWO_PI * 10 ** rng.uniform(-8.0, -2.0),
-        dummy_delta=gamma_beta,
     )
 
 

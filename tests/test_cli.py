@@ -6,6 +6,7 @@ import math
 import pytest
 
 from afm_transducer.cli import main
+from afm_transducer.config import _PARSERS
 from afm_transducer.presets import get_preset
 
 
@@ -210,7 +211,6 @@ class TestSweepVariableConfiguration:
     @pytest.mark.parametrize("preset, variable, configuration", [
         ("mnf2-nocavity-20GHz", "faraday-angle", "without-optical-cavity"),
         ("mnf2-nocavity-20GHz", "layer-count", "without-optical-cavity"),
-        ("mnf2-easyaxis-20GHz", "dummy-delta", "with-optical-cavity"),
     ])
     def test_variable_rejected_on_configuration(self, capsys, preset, variable, configuration):
         code, out, err = run_cli(
@@ -221,3 +221,59 @@ class TestSweepVariableConfiguration:
         error = json.loads(err)
         assert error["error"] == "ConfigError"
         assert variable in error["message"] and configuration in error["message"]
+
+
+EASY = "mnf2-easyaxis-20GHz"
+DEGENERATE = "mnf2-degenerate-250GHz"
+# `sweep` runs only with a sweep block; each sweep_* probe overrides one entry of it
+SWEEP_BLOCK = ("sweep_variable=thickness", "sweep_lo=1e-3", "sweep_hi=1", "sweep_count=5")
+
+# key -> (command, preset, value, companion --set or None): a run on which the key acts
+KEY_PROBES = {
+    "omega_e_hz": ("efficiency", EASY, "21 GHz", None),
+    "kappa_ee_hz": ("efficiency", EASY, "250 MHz", None),
+    "kappa_ei_hz": ("efficiency", EASY, "250 MHz", None),
+    "kappa_oe_hz": ("efficiency", EASY, "250 MHz", None),
+    "kappa_oi_hz": ("efficiency", EASY, "250 MHz", None),
+    "delta_omega_o_hz": ("efficiency", EASY, "-19 GHz", None),
+    "n_cav": ("couplings", EASY, "3e6", None),
+    "g0_slope_mhz_per_sqrt_ghz": ("couplings", EASY, "0.05", None),
+    "omega_alpha_hz": ("efficiency", DEGENERATE, "249 GHz", None),
+    "omega_beta_hz": ("efficiency", EASY, "19.9 GHz", None),
+    "gamma_alpha_hz": ("efficiency", DEGENERATE, "500 MHz", None),
+    "gamma_beta_hz": ("efficiency", EASY, "37 MHz", None),
+    "omega_exchange_hz": ("modes", EASY, "8 THz", None),
+    "omega_easyaxis_hz": ("modes", EASY, "0.2 THz", None),
+    "omega_hardaxis_hz": ("validate", DEGENERATE, "0.01 THz", None),
+    "gyro_hz_per_t": ("modes", EASY, "30 GHz", "b0_t=1"),
+    "spin_density_per_mm3": ("couplings", EASY, "2e19", None),
+    "asymmetry_k": ("modes", EASY, "0.01", None),
+    "kappa_mo_alpha": ("couplings", EASY, "0.3", None),
+    "kappa_mo_beta": ("couplings", EASY, "0.3", None),
+    "thickness_mm": ("couplings", EASY, "0.01", None),
+    "cross_section_mm2": ("couplings", EASY, "0.02", None),
+    "layer_count": ("couplings", EASY, "7", None),
+    "b0_t": ("modes", EASY, "1", None),
+    "sweep_variable": ("sweep", EASY, "probe-detuning", None),
+    "sweep_lo": ("sweep", EASY, "1e-2", None),
+    "sweep_hi": ("sweep", EASY, "10", None),
+    "sweep_count": ("sweep", EASY, "7", None),
+    "sweep_scale": ("sweep", EASY, "linear", None),
+}
+
+
+class TestEveryKeyActs:
+    @pytest.mark.parametrize("key", sorted(_PARSERS))
+    def test_key_changes_output_or_is_rejected(self, capsys, key):
+        assert key in KEY_PROBES, f"accepted key {key!r} has no run on which it acts"
+        command, preset, value, companion = KEY_PROBES[key]
+        sets = list(SWEEP_BLOCK) if command == "sweep" else []
+        if companion:
+            sets.append(companion)
+        argv = [command, "--preset", preset]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        code, plain, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        code, out, _ = run_cli(capsys, *argv, "--set", f"{key}={value}")
+        assert code == 2 or (code == 0 and out != plain)

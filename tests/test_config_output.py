@@ -1,16 +1,27 @@
 """Config parsing, preset resolution, deterministic emission."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afm_transducer.config import Command, load_config, resolve_preset
+from afm_transducer.config import (
+    _PARSERS,
+    _STRUCTURAL_KEYS,
+    Command,
+    load_config,
+    resolve_preset,
+)
 from afm_transducer.constants import angular
 from afm_transducer.errors import ConfigError
 from afm_transducer.output import format_float, render_csv, render_json
 from afm_transducer.presets import PRESET_NAMES, assemble, get_preset
+from afm_transducer.sweeps import SweepVariable
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestFormatFloat:
@@ -82,12 +93,12 @@ class TestLoadConfig:
         text = (
             "preset = mnf2-easyaxis-20GHz\ncommand = efficiency\n"
             "omega_e_hz = 20 GHz\ngamma_beta_hz = 100 MHz\n"
-            "omega_drive_hz = 193 THz\nkappa_ee_hz = 25 mHz\n"
+            "omega_exchange_hz = 9.3 THz\nkappa_ee_hz = 25 mHz\n"
         )
         cfg = load_config(text)
         assert cfg.overrides["omega_e_hz"] == 2e10
         assert cfg.overrides["gamma_beta_hz"] == 1e8
-        assert cfg.overrides["omega_drive_hz"] == 1.93e14
+        assert cfg.overrides["omega_exchange_hz"] == 9.3e12
         assert cfg.overrides["kappa_ee_hz"] == 0.025
 
     def test_negative_frequency_rejected_with_line(self):
@@ -223,3 +234,28 @@ class TestPresetCatalog:
         from afm_transducer.constants import ordinary
 
         assert ordinary(assembled.couplings.xi_beta) == pytest.approx(2.1e-7, rel=1e-9)
+
+
+class TestReadmeSchema:
+    """README's config-schema section lists exactly the keys and sweep variables accepted."""
+
+    @pytest.fixture(scope="class")
+    def section(self):
+        text = README.read_text(encoding="utf-8")
+        return re.split(r"\n#{2,3} ", text.split("### Config schema", 1)[1], maxsplit=1)[0]
+
+    def test_key_lists_match_schema(self, section):
+        keys = set()
+        for paragraph in section.split("\n\n"):
+            paragraph = " ".join(paragraph.split())
+            # "Label: `key`, `key` (`option`, ...)": the key lists, options dropped
+            if re.match(r"[A-Z][\w /]*: `", paragraph):
+                keys.update(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", paragraph)))
+        assert keys == set(_PARSERS) | set(_STRUCTURAL_KEYS)
+
+    def test_sweep_variables_match_schema(self, section):
+        variables = {v.value for v in SweepVariable}
+        table_rows = re.findall(r"^\| `([^`]+)` +\|", section, flags=re.M)
+        assert sorted(table_rows) == sorted(variables)
+        options = re.search(r"`sweep_variable` \(([^)]*)\)", " ".join(section.split()))
+        assert set(re.findall(r"`([^`]+)`", options.group(1))) == variables

@@ -299,12 +299,6 @@ class TestGeometryAndParams:
                 delta_omega_o=0.0, kappa_oe=0.0, kappa_oi=0.0,
                 n_cav=1e6, g0_slope=G0_SLOPE,
             )
-        with pytest.raises(ValueError):
-            CavityParams(
-                omega_e=angular(20e9), kappa_ee=angular(1e8), kappa_ei=0.0,
-                delta_omega_o=0.0, kappa_oe=0.0, kappa_oi=0.0,
-                n_cav=1e6, g0_slope=G0_SLOPE, overlap_eta=1.5,
-            )
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):

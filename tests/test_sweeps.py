@@ -12,7 +12,6 @@ from afm_transducer.sweeps import (
     SweepSpec,
     SweepVariable,
     detuning_sweep,
-    dummy_delta_sweep,
     faraday_sweep,
     find_optimal_thickness,
     heterostructure_projection,
@@ -220,13 +219,6 @@ class TestDetuningSweep:
     def test_fwhm_metadata(self, detuning_result):
         fwhm = detuning_result.provenance["fwhm_hz"]
         assert fwhm is not None and 1e7 < fwhm < 2e9
-
-
-class TestDummyDeltaSweep:
-    def test_flat_curve(self):
-        res = dummy_delta_sweep()
-        eta = res.column("eta")
-        assert eta.max() / eta.min() - 1.0 < 1e-9
 
 
 class TestHeterostructure:
