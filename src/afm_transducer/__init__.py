@@ -29,17 +29,15 @@ from .couplings import (
     CouplingSet,
     DriveParams,
     SampleGeometry,
-    ThinSampleReport,
+    calibrated_xi,
     cavity_enhanced_zeta,
     ferromagnet_reference,
-    heterostructure_scaling,
+    geometry_scaling,
     itinerant_xi,
     microwave_coupling,
     optical_coupling,
-    thickness_parameterized_couplings,
     vacuum_coupling_empirical,
     vacuum_coupling_from_cavity_volume,
-    validate_thin_sample,
 )
 from .errors import (
     ClosedFormValidityError,
@@ -50,7 +48,6 @@ from .errors import (
 )
 from .magnon import (
     DiagonalizationResult,
-    MagnonModes,
     MaterialParams,
     QuadraticHamiltonian,
     bogoliubov_uv,

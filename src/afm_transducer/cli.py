@@ -27,12 +27,19 @@ from .magnon import bogoliubov_uv, kappa_coefficients, resonance_frequencies
 from .output import emit
 from .presets import assemble
 from .scattering import scatter
-from .sweeps import run_sweep
+from .sweeps import SweepVariable, run_sweep
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_DOMAIN = 3
 _EXIT_INVARIANT = 4
+
+# keys a sweep sets itself at every point; the layer-count sweep fixes the
+# per-layer thickness and records it in the provenance
+_SWEPT_KEYS = {
+    SweepVariable.THICKNESS: ("thickness_mm",),
+    SweepVariable.LAYER_COUNT: ("thickness_mm", "layer_count"),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -155,6 +162,9 @@ def _run_sweep(cfg: RunConfig) -> tuple[tuple, tuple, dict, int]:
     spec = cfg.sweep_spec()
     if spec is None:
         raise ConfigError("sweep command requires sweep_variable/sweep_lo/sweep_hi/sweep_count")
+    for key in _SWEPT_KEYS.get(spec.variable, ()):
+        if key in cfg.overrides:
+            raise ConfigError(f"{key!r} is set by the {spec.variable.value!r} sweep itself")
     preset, _ = resolve_preset(cfg)
     result = run_sweep(spec, preset)
     provenance = dict(result.provenance)

@@ -7,8 +7,8 @@ Four rates are computed here, all angular (rad/s):
 * ``zeta``   cavity-enhanced optical coupling, G * sqrt(n_cav),
 * ``xi``     itinerant-light conversion rate (no optical cavity).
 
-plus the calibrated thickness laws used by the sweep engine, the
-heterostructure enhancement and a ferromagnet reference value.
+plus the calibrated itinerant rate, the exact rescaling of the rates to
+another thickness or layer count, and a ferromagnet reference value.
 """
 
 from __future__ import annotations
@@ -17,36 +17,26 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import HBAR, SPEED_OF_LIGHT, TWO_PI, VACUUM_PERMEABILITY, ordinary
-from .magnon import MagnonModes, MaterialParams
+from .magnon import MaterialParams
 
 __all__ = [
     "SampleGeometry",
     "CavityParams",
     "DriveParams",
     "CouplingSet",
-    "ThinSampleReport",
     "microwave_coupling",
     "vacuum_coupling_empirical",
     "vacuum_coupling_from_cavity_volume",
     "optical_coupling",
     "cavity_enhanced_zeta",
     "itinerant_xi",
-    "thickness_parameterized_couplings",
-    "heterostructure_scaling",
+    "calibrated_xi",
+    "geometry_scaling",
     "ferromagnet_reference",
-    "validate_thin_sample",
 ]
 
-# Calibrated thickness laws for the lower mode, d in mm, rates in MHz:
-#   g    = 10.5    * sqrt(d)
-#   zeta = 1.3e-2  / sqrt(d)
-#   xi   = 2.1e-10 * d
-_G_LAW_MHZ = 10.5
-_ZETA_LAW_MHZ = 1.3e-2
+# Calibrated itinerant conversion rate of the lower mode: xi = 2.1e-10 d MHz, d in mm
 _XI_LAW_MHZ = 2.1e-10
-
-# Interaction-time criterion: tau * omega above this is flagged.
-_THIN_SAMPLE_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -240,37 +230,44 @@ def itinerant_xi(G: float, geom: SampleGeometry, drive: DriveParams) -> float:
     return G * G * tau * tau * photon_flux
 
 
-def thickness_parameterized_couplings(thickness: float) -> CouplingSet:
-    """Calibrated lower-mode couplings as a function of thickness (m).
+def calibrated_xi(thickness: float) -> float:
+    """Calibrated lower-mode itinerant conversion rate xi (rad/s) at thickness (m).
 
-    The backend of the thickness sweeps: with d in mm,
-    g = 10.5 sqrt(d) MHz, zeta = 1.3e-2 / sqrt(d) MHz and
-    xi = 2.1e-10 d MHz.  Only the lower (beta) mode is populated.
+    xi = 2.1e-10 d MHz with d in mm: linear in d, as :func:`itinerant_xi`
+    is at fixed cross-section.
     """
     if thickness <= 0:
         raise ValueError("thickness must be positive")
     d_mm = thickness * 1e3
-    g = TWO_PI * _G_LAW_MHZ * 1e6 * math.sqrt(d_mm)
-    zeta = TWO_PI * _ZETA_LAW_MHZ * 1e6 / math.sqrt(d_mm)
-    xi = TWO_PI * _XI_LAW_MHZ * 1e6 * d_mm
-    return CouplingSet(g_beta=g, zeta_beta=zeta, xi_beta=xi)
+    return TWO_PI * _XI_LAW_MHZ * 1e6 * d_mm
 
 
-def heterostructure_scaling(c: CouplingSet, n_layers: int) -> CouplingSet:
-    """Collective-mode enhancement for a stack of identical magnetic layers.
+def geometry_scaling(rates, n_layers: int = 1, thickness_ratio: float = 1.0):
+    """Rescale the rates to another layer count and layer thickness.
 
-    g and zeta acquire sqrt(n_layers); the itinerant rate xi is left
-    unchanged (the enhancement applies to the cavity configuration).
+    ``rates`` is any frozen dataclass with the six fields g, zeta and xi
+    for both modes (:class:`CouplingSet`, ``ModeSystem``); a copy is
+    returned.  At fixed cross-section the total spin number grows as the
+    volume and G falls as 1/sqrt(volume), so a thickness ratio r scales g
+    by sqrt(r), zeta by 1/sqrt(r) and xi (G^2 times the squared transit
+    time) by r.  A stack of n identical layers boosts g and zeta by
+    sqrt(n) through the collective mode and leaves xi unchanged.  The
+    single-photon G fields of a :class:`CouplingSet` are not rescaled.
     """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
-    boost = math.sqrt(float(n_layers))
+    if thickness_ratio <= 0:
+        raise ValueError("thickness_ratio must be positive")
+    g_factor = math.sqrt(thickness_ratio * n_layers)
+    zeta_factor = math.sqrt(n_layers / thickness_ratio)
     return replace(
-        c,
-        g_alpha=c.g_alpha * boost,
-        g_beta=c.g_beta * boost,
-        zeta_alpha=c.zeta_alpha * boost,
-        zeta_beta=c.zeta_beta * boost,
+        rates,
+        g_alpha=rates.g_alpha * g_factor,
+        g_beta=rates.g_beta * g_factor,
+        zeta_alpha=rates.zeta_alpha * zeta_factor,
+        zeta_beta=rates.zeta_beta * zeta_factor,
+        xi_alpha=rates.xi_alpha * thickness_ratio,
+        xi_beta=rates.xi_beta * thickness_ratio,
     )
 
 
@@ -286,36 +283,4 @@ def ferromagnet_reference(theta_F: float, eps_r: float, total_spins: float) -> f
         raise ValueError("theta_F, eps_r and total_spins must be positive")
     return SPEED_OF_LIGHT * theta_F / (4.0 * math.sqrt(eps_r)) / math.sqrt(
         2.0 * total_spins
-    )
-
-
-@dataclass(frozen=True)
-class ThinSampleReport:
-    """Interaction-time check tau * omega for both modes (advisory only)."""
-
-    ratio_alpha: float
-    ratio_beta: float
-    threshold: float
-    passed: bool
-
-    @property
-    def worst_ratio(self) -> float:
-        return max(self.ratio_alpha, self.ratio_beta)
-
-
-def validate_thin_sample(geom: SampleGeometry, modes: MagnonModes) -> ThinSampleReport:
-    """Check that the optical transit time is short on the magnon timescale.
-
-    Computes tau * omega_mu with tau = d / c for both modes and flags the
-    geometry when the larger ratio exceeds 0.1.  Never raises; the
-    without-cavity conversion rate is simply unreliable past the flag.
-    """
-    tau = geom.thickness / SPEED_OF_LIGHT
-    ratio_alpha = tau * modes.omega_alpha
-    ratio_beta = tau * modes.omega_beta
-    return ThinSampleReport(
-        ratio_alpha=ratio_alpha,
-        ratio_beta=ratio_beta,
-        threshold=_THIN_SAMPLE_THRESHOLD,
-        passed=max(ratio_alpha, ratio_beta) <= _THIN_SAMPLE_THRESHOLD,
     )

@@ -29,7 +29,6 @@ from .errors import ClosedFormValidityError, SpinFlopError, UnstableHamiltonianE
 
 __all__ = [
     "MaterialParams",
-    "MagnonModes",
     "QuadraticHamiltonian",
     "DiagonalizationResult",
     "resonance_frequencies",
@@ -106,34 +105,6 @@ class MaterialParams:
                 f"{operation} requires omega_perp == 0 (easy-axis material); "
                 f"got omega_perp = {self.omega_perp:g} rad/s"
             )
-
-
-@dataclass(frozen=True)
-class MagnonModes:
-    """The two uniform magnon modes with decay rates and mode coefficients.
-
-    ``omega_alpha >= omega_beta`` by construction.  ``kappa_alpha`` and
-    ``kappa_beta`` are the dimensionless magneto-optic coefficients, and
-    ``U``, ``V`` the Bogoliubov coefficients with U^2 - V^2 = 1.
-    """
-
-    omega_alpha: float
-    omega_beta: float
-    gamma_alpha: float
-    gamma_beta: float
-    kappa_alpha: float
-    kappa_beta: float
-    U: float
-    V: float
-
-    def __post_init__(self):
-        if not self.omega_alpha >= self.omega_beta >= 0.0:
-            raise ValueError("mode frequencies must satisfy omega_alpha >= omega_beta >= 0")
-        if self.gamma_alpha <= 0 or self.gamma_beta <= 0:
-            raise ValueError("magnon decay rates must be positive")
-        norm = self.U * self.U - self.V * self.V
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"Bogoliubov normalization violated: U^2 - V^2 = {norm!r}")
 
 
 def resonance_frequencies(m: MaterialParams, B0: float) -> tuple[float, float]:

@@ -23,11 +23,11 @@ from .couplings import (
     CavityParams,
     CouplingSet,
     SampleGeometry,
+    calibrated_xi,
     cavity_enhanced_zeta,
-    heterostructure_scaling,
+    geometry_scaling,
     microwave_coupling,
     optical_coupling,
-    thickness_parameterized_couplings,
 )
 from .magnon import MaterialParams, kappa_coefficients
 from .scattering import Configuration, ModeSystem
@@ -236,8 +236,8 @@ def assemble(preset: Preset) -> AssembledSystem:
 
     Couplings are computed from the material, geometry and cavity
     (empirical vacuum coupling slope, calibrated optical rule) unless the
-    bundle pins them explicitly.  Inactive modes are decoupled, layer
-    counts above one apply the collective sqrt(N) enhancement, and the
+    bundle pins them explicitly.  Inactive modes are decoupled, the layer
+    count applies the collective sqrt(N) enhancement, and the
     probe frequency is locked to the microwave cavity.
     """
     p = preset
@@ -272,7 +272,7 @@ def assemble(preset: Preset) -> AssembledSystem:
             zeta_beta = cavity_enhanced_zeta(big_g_beta, p.cavity.n_cav)
             sources["zeta"] = "computed"
     else:
-        xi_beta = thickness_parameterized_couplings(p.geometry.thickness).xi_beta
+        xi_beta = calibrated_xi(p.geometry.thickness)
         sources["xi"] = "thickness-law"
 
     couplings = CouplingSet(
@@ -281,8 +281,7 @@ def assemble(preset: Preset) -> AssembledSystem:
         zeta_alpha=zeta_alpha, zeta_beta=zeta_beta,
         xi_alpha=xi_alpha, xi_beta=xi_beta,
     )
-    if p.geometry.layer_count > 1:
-        couplings = heterostructure_scaling(couplings, p.geometry.layer_count)
+    couplings = geometry_scaling(couplings, p.geometry.layer_count)
 
     # decouple the spectator modes
     keep_alpha = p.active_modes in ("alpha", "both")

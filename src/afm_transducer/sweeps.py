@@ -20,9 +20,9 @@ import numpy as np
 from ._version import __version__
 from .closed_forms import cooperativities
 from .constants import SPEED_OF_LIGHT, ordinary
-from .couplings import heterostructure_scaling, thickness_parameterized_couplings
+from .couplings import geometry_scaling
 from .errors import ConfigError
-from .presets import Preset, assemble, get_preset
+from .presets import AssembledSystem, Preset, assemble, get_preset
 from .scattering import Configuration, ModeSystem, scatter
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "find_optimal_thickness",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _THIN_SAMPLE_THRESHOLD = 0.1
 _PER_LAYER_THICKNESS = 1e-6  # m
 
@@ -99,27 +98,34 @@ class SweepResult:
         return len(self.rows)
 
 
-def _with_cavity_system_at_thickness(base: ModeSystem, thickness_m: float) -> ModeSystem:
-    c = thickness_parameterized_couplings(thickness_m)
-    return replace(base, g_beta=c.g_beta, zeta_beta=c.zeta_beta, g_alpha=0.0, zeta_alpha=0.0)
-
-
 _CAVITY_TAIL = ("c_em_beta", "c_om_beta", "g_beta_hz", "zeta_beta_hz")
 _ITINERANT_TAIL = ("c_em_beta", "eta_m_beta", "g_beta_hz", "xi_beta_hz", "thin_sample_ok")
 
 
-def _axis(variable: SweepVariable, base: ModeSystem, probe: float, per_layer_thickness: float):
+def _require_computed_couplings(preset: Preset, what: str) -> None:
+    if preset.g_override is not None or preset.zeta_override is not None:
+        raise ConfigError(
+            f"{what} rescales the computed couplings; preset {preset.name!r} pins g or zeta"
+        )
+
+
+def _axis(variable: SweepVariable, preset: Preset, assembled: AssembledSystem):
     """What one sweep variable contributes to the engine.
 
     Returns the value column, ``point`` (grid value to the system and probe
     frequency solved there), the tail columns, ``tail`` (solved system and
     grid value to the cells after ``reflection``) and provenance extras.
+    Thickness and layer-count points rescale the assembled rates with
+    :func:`geometry_scaling`, which is what the pipeline computes at that
+    geometry.
 
     Raises
     ------
     ConfigError
-        If the variable cannot act on the configuration of ``base``.
+        If the variable cannot act on the configuration of the preset, or
+        a thickness sweep meets couplings the preset pins.
     """
+    base, probe = assembled.system, assembled.probe
     cavity = base.configuration is Configuration.WITH_OPTICAL_CAVITY
 
     def cavity_tail(system: ModeSystem, _) -> tuple:
@@ -129,24 +135,23 @@ def _axis(variable: SweepVariable, base: ModeSystem, probe: float, per_layer_thi
     if variable is SweepVariable.PROBE_DETUNING:
         return ("probe_detuning_hz", lambda det_hz: (base, probe + 2.0 * math.pi * det_hz),
                 (), lambda system, _: (), {})
-    if variable is SweepVariable.THICKNESS and cavity:
-        return ("thickness_mm",
-                lambda d_mm: (_with_cavity_system_at_thickness(base, d_mm * 1e-3), probe),
-                _CAVITY_TAIL, cavity_tail, {})
     if variable is SweepVariable.THICKNESS:
-        cap_m = _THIN_SAMPLE_THRESHOLD * SPEED_OF_LIGHT / base.omega_beta
+        _require_computed_couplings(preset, "the thickness sweep")
+        thickness_mm = preset.geometry.thickness * 1e3
 
-        def itinerant_point(d_mm: float) -> tuple[ModeSystem, float]:
-            c = thickness_parameterized_couplings(d_mm * 1e-3)
-            system = replace(base, g_beta=c.g_beta, xi_beta=c.xi_beta, g_alpha=0.0, xi_alpha=0.0)
-            return system, probe
+        def thickness_point(d_mm: float) -> tuple[ModeSystem, float]:
+            return geometry_scaling(base, thickness_ratio=d_mm / thickness_mm), probe
+
+        if cavity:
+            return "thickness_mm", thickness_point, _CAVITY_TAIL, cavity_tail, {}
+        cap_m = _THIN_SAMPLE_THRESHOLD * SPEED_OF_LIGHT / base.omega_beta
 
         def itinerant_tail(system: ModeSystem, d_mm: float) -> tuple:
             coop = cooperativities(system)
             return (coop.c_em_beta, coop.eta_m_beta, ordinary(system.g_beta),
                     ordinary(system.xi_beta), bool(d_mm * 1e-3 <= cap_m))
 
-        return ("thickness_mm", itinerant_point, _ITINERANT_TAIL, itinerant_tail,
+        return ("thickness_mm", thickness_point, _ITINERANT_TAIL, itinerant_tail,
                 {"thin_sample_cap_mm": cap_m * 1e3})
     if variable is SweepVariable.FARADAY_ANGLE and cavity:
         def faraday_point(ratio: float) -> tuple[ModeSystem, float]:
@@ -155,16 +160,9 @@ def _axis(variable: SweepVariable, base: ModeSystem, probe: float, per_layer_thi
 
         return "theta_f_ratio", faraday_point, _CAVITY_TAIL, cavity_tail, {}
     if variable is SweepVariable.LAYER_COUNT and cavity:
-        per_layer = thickness_parameterized_couplings(per_layer_thickness)
-
-        def layer_point(n: int) -> tuple[ModeSystem, float]:
-            c = heterostructure_scaling(per_layer, n)
-            return replace(
-                base, g_beta=c.g_beta, zeta_beta=c.zeta_beta, g_alpha=0.0, zeta_alpha=0.0
-            ), probe
-
-        return ("n_layers", layer_point, _CAVITY_TAIL, cavity_tail,
-                {"per_layer_thickness_mm": per_layer_thickness * 1e3})
+        return ("n_layers", lambda n: (geometry_scaling(base, n), probe),
+                _CAVITY_TAIL, cavity_tail,
+                {"per_layer_thickness_mm": preset.geometry.thickness * 1e3})
     raise ConfigError(
         f"sweep variable {variable.value!r} cannot act on the "
         f"{base.configuration.value} configuration"
@@ -174,12 +172,15 @@ def _axis(variable: SweepVariable, base: ModeSystem, probe: float, per_layer_thi
 def _sweep(
     spec: SweepSpec, preset: Preset, grid, per_layer_thickness: float = _PER_LAYER_THICKNESS
 ) -> SweepResult:
-    """The one point loop behind every sweep: assemble once, solve each grid value."""
+    """The one point loop behind every sweep: assemble once, solve each grid value.
+
+    A layer-count sweep assembles one layer of ``per_layer_thickness``.
+    """
+    if spec.variable is SweepVariable.LAYER_COUNT:
+        geometry = replace(preset.geometry, thickness=per_layer_thickness, layer_count=1)
+        preset = replace(preset, geometry=geometry)
     assembled = assemble(preset)
-    base = assembled.system
-    value_column, point, tail_columns, tail, extra = _axis(
-        spec.variable, base, assembled.probe, per_layer_thickness
-    )
+    value_column, point, tail_columns, tail, extra = _axis(spec.variable, preset, assembled)
     grid = np.asarray(grid)
     rows = []
     etas = []
@@ -198,7 +199,7 @@ def _sweep(
         rows=tuple(rows),
         provenance={
             "preset": spec.preset,
-            "configuration": base.configuration.value,
+            "configuration": assembled.system.configuration.value,
             "code_version": __version__,
             "variable": spec.variable.value,
             "scale": spec.scale,
@@ -225,18 +226,20 @@ def run_sweep(spec: SweepSpec, preset: Preset) -> SweepResult:
     holds at every point.  Thickness sweeps follow the preset's
     configuration (optical cavity or itinerant light); a layer-count
     sweep runs over the distinct integers of the rounded log grid from
-    max(lo, 1) to hi and reports them as heterostructure_projection does.
+    max(lo, 1) to hi, on one layer of 1 um as heterostructure_projection
+    does.
 
     Raises
     ------
     ConfigError
         If the variable cannot act on the preset's configuration:
-        faraday-angle and layer-count need an optical cavity.
+        faraday-angle and layer-count need an optical cavity, and
+        thickness needs couplings the preset does not pin.
     """
     if spec.variable is not SweepVariable.LAYER_COUNT:
         return _sweep(spec, preset, spec.grid())
     layers = _layer_counts(np.rint(np.geomspace(max(spec.lo, 1.0), spec.hi, spec.count)))
-    return _sweep(replace(spec, count=len(layers), scale="linear"), preset, layers)
+    return _sweep(spec, preset, layers)
 
 
 def faraday_sweep(spec: SweepSpec | None = None) -> SweepResult:
@@ -257,7 +260,7 @@ def faraday_sweep(spec: SweepSpec | None = None) -> SweepResult:
 def thickness_sweep_with_cavity(spec: SweepSpec | None = None) -> SweepResult:
     """Efficiency against sample thickness, optical cavity present.
 
-    Couplings follow the calibrated thickness laws (g up as sqrt(d),
+    The pipeline couplings scale with the thickness (g up as sqrt(d),
     zeta down as 1/sqrt(d)), which keeps the product of the two
     cooperativities exactly constant; the efficiency therefore peaks
     where C_om = C_em and falls off on both sides.  Wherever one
@@ -323,8 +326,8 @@ def heterostructure_projection(
 ) -> SweepResult:
     """Efficiency of a layered stack against the layer count.
 
-    Per-layer couplings are taken from the calibrated thickness laws at
-    the per-layer thickness; the collective mode then boosts g and zeta
+    The preset is assembled as one layer of the per-layer thickness; the
+    collective mode then boosts g and zeta
     by sqrt(N), so each cooperativity grows as N.  The efficiency ratio
     is exactly eta_N / eta_1 = N^2 [(1 + s_1)/(1 + s_N)]^2 with
     s = C_om + C_em; while both cooperativities stay small it grows
@@ -354,63 +357,61 @@ def find_optimal_thickness(
     hi_mm: float = 1e2,
     rel_tol: float = 1e-3,
 ) -> OptimalThickness:
-    """Locate the thickness maximizing the with-cavity efficiency.
+    """The thickness maximizing the with-cavity efficiency, in closed form.
 
-    A 64-point coarse log grid brackets the maximum, then golden-section
-    search on log thickness refines it to the requested relative
-    tolerance.  The constant cooperativity product makes the curve
-    unimodal in log thickness, so the bracket is guaranteed.
+    At fixed cross-section g grows as sqrt(d) and zeta falls as
+    1/sqrt(d), so C_om C_em is constant, and at the locked triple
+    resonance eta = eta_o eta_e 4 C_om C_em / (1 + C_om + C_em)^2 peaks
+    exactly where C_om = C_em:  d* = d sqrt(C_om / C_em), with both
+    cooperativities taken at the preset's own thickness d.  The second
+    difference of log eta is taken on the step ln(hi/lo)/63.
 
     Raises
     ------
+    ConfigError
+        If the preset pins g or zeta, or its system is not the lower mode
+        alone, coupled to both cavities, at the triple resonance.
     ValueError
-        If the coarse maximum sits on a range boundary.
+        If d* lies outside [lo_mm, hi_mm], or |C_om/C_em - 1| at d*
+        exceeds ``rel_tol``.
     """
     bundle = get_preset(preset) if isinstance(preset, str) else preset
+    _require_computed_couplings(bundle, "the thickness optimum")
     assembled = assemble(bundle)
-    base = assembled.system
-    probe = assembled.probe
-
-    def eta_at_log(t: float) -> float:
-        system = _with_cavity_system_at_thickness(base, math.exp(t) * 1e-3)
-        return scatter(system, probe).eta
-
-    grid = np.log(np.geomspace(lo_mm, hi_mm, 64))
-    values = [eta_at_log(t) for t in grid]
-    peak = int(np.argmax(values))
-    if peak in (0, len(grid) - 1):
+    base, probe = assembled.system, assembled.probe
+    if not (base.configuration is Configuration.WITH_OPTICAL_CAVITY
+            and base.g_alpha == base.zeta_alpha == 0.0
+            and base.g_beta > 0.0 and base.zeta_beta > 0.0
+            and base.omega_beta == probe and base.delta_omega_o == -probe):
+        raise ConfigError(
+            f"preset {bundle.name!r}: the thickness optimum is the cooperativity crossing "
+            "only for the lower mode alone at the triple resonance"
+        )
+    coop = cooperativities(base)
+    ratio = math.sqrt(coop.c_om_beta / coop.c_em_beta)
+    d_star_m = bundle.geometry.thickness * ratio
+    if not lo_mm <= d_star_m * 1e3 <= hi_mm:
         raise ValueError(
-            "efficiency maximum sits on the sweep boundary; extend the range"
+            f"efficiency maximum at {d_star_m * 1e3:.6e} mm lies beyond the sweep "
+            f"boundary [{lo_mm:g}, {hi_mm:g}] mm; extend the range"
         )
 
-    a, b = grid[peak - 1], grid[peak + 1]
-    tol = math.log1p(rel_tol)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = eta_at_log(c), eta_at_log(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = eta_at_log(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = eta_at_log(d)
-    t_star = 0.5 * (a + b)
-    d_star_m = math.exp(t_star) * 1e-3
+    optimum = cooperativities(geometry_scaling(base, thickness_ratio=ratio))
+    matching = optimum.c_om_beta / optimum.c_em_beta
+    if abs(matching - 1.0) > rel_tol:
+        raise ValueError(f"|C_om/C_em - 1| = {abs(matching - 1.0):.3e} at d* exceeds {rel_tol:g}")
 
-    system = _with_cavity_system_at_thickness(base, d_star_m)
-    coop = cooperativities(system)
-    step = grid[1] - grid[0]
+    def eta_at(r: float) -> float:
+        return scatter(geometry_scaling(base, thickness_ratio=r), probe).eta
+
+    step = math.exp(math.log(hi_mm / lo_mm) / 63.0)
+    eta = eta_at(ratio)
     second_diff = (
-        math.log(eta_at_log(t_star - step))
-        - 2.0 * math.log(eta_at_log(t_star))
-        + math.log(eta_at_log(t_star + step))
+        math.log(eta_at(ratio / step)) - 2.0 * math.log(eta) + math.log(eta_at(ratio * step))
     )
     return OptimalThickness(
         thickness=d_star_m,
-        eta=scatter(system, probe).eta,
-        cooperativity_ratio=coop.c_om_beta / coop.c_em_beta,
+        eta=eta,
+        cooperativity_ratio=matching,
         log_eta_second_difference=second_diff,
     )

@@ -193,6 +193,24 @@ class TestSweepOverrides:
             expected = 4.0 * g * g / (kappa_e * gamma_beta)
             assert float(row["c_em_beta"]) == pytest.approx(expected, rel=1e-11)
 
+    @pytest.mark.parametrize("assignment", [
+        "n_cav=3e6", "g0_slope_mhz_per_sqrt_ghz=0.05", "cross_section_mm2=0.02",
+        "spin_density_per_mm3=2e19", "kappa_mo_beta=0.3", "omega_exchange_hz=8 THz",
+        "layer_count=7",
+    ])
+    def test_thickness_row_matches_efficiency(self, capsys, assignment):
+        # the grid starts at the preset's own thickness, 0.1 mm
+        preset = "mnf2-easyaxis-20GHz"
+        sweep_sets = ["sweep_variable=thickness", "sweep_lo=0.1", "sweep_hi=1",
+                      "sweep_count=3", "sweep_scale=linear"]
+        row = sweep_rows(capsys, preset, sweep_sets + [assignment])[0]
+        code, out, _ = run_cli(capsys, "efficiency", "--preset", preset, "--set", assignment)
+        assert code == 0
+        expected = parse_csv(out)[0]
+        for column in ("eta", "c_em_beta", "c_om_beta"):
+            want = float(expected[column])
+            assert abs(float(row[column]) - want) <= 1e-12 * want, column
+
     def test_detuning_zero_matches_efficiency(self, capsys):
         preset = "mnf2-easyaxis-20GHz"
         sweep_sets = ["sweep_variable=probe-detuning", "sweep_lo=-1e9", "sweep_hi=1e9",
@@ -221,6 +239,41 @@ class TestSweepVariableConfiguration:
         error = json.loads(err)
         assert error["error"] == "ConfigError"
         assert variable in error["message"] and configuration in error["message"]
+
+    @pytest.mark.parametrize("variable, key, value", [
+        ("thickness", "thickness_mm", "0.2"),
+        ("layer-count", "thickness_mm", "0.2"),
+        ("layer-count", "layer_count", "3"),
+    ])
+    def test_swept_key_rejected(self, capsys, variable, key, value):
+        code, out, err = run_cli(
+            capsys, "sweep", "--preset", "mnf2-easyaxis-20GHz", "--set", f"sweep_variable={variable}",
+            "--set", "sweep_lo=1", "--set", "sweep_hi=10", "--set", "sweep_count=3",
+            "--set", f"{key}={value}",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert key in error["message"] and variable in error["message"]
+
+    def test_thickness_rejected_on_pinned_couplings(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--preset", "mnf2-degenerate-250GHz", "--set", "sweep_variable=thickness",
+            "--set", "sweep_lo=1e-3", "--set", "sweep_hi=1", "--set", "sweep_count=3",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert "thickness" in error["message"] and "mnf2-degenerate-250GHz" in error["message"]
+
+    def test_layer_count_reports_requested_grid(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--preset", "mnf2-easyaxis-20GHz", "--set", "sweep_variable=layer-count",
+            "--set", "sweep_lo=1", "--set", "sweep_hi=5000", "--set", "sweep_count=15",
+            "--set", "sweep_scale=log",
+        )
+        assert code == 0
+        assert "# scale = log\n" in out and "# count = 15\n" in out
 
 
 EASY = "mnf2-easyaxis-20GHz"

@@ -1,5 +1,6 @@
 """Coupling rates: reference values, scalings, calibration consistency."""
 
+import dataclasses
 import math
 
 import pytest
@@ -12,19 +13,23 @@ from afm_transducer.couplings import (
     CouplingSet,
     DriveParams,
     SampleGeometry,
+    calibrated_xi,
     cavity_enhanced_zeta,
     ferromagnet_reference,
-    heterostructure_scaling,
+    geometry_scaling,
     itinerant_xi,
     microwave_coupling,
     optical_coupling,
-    thickness_parameterized_couplings,
     vacuum_coupling_empirical,
     vacuum_coupling_from_cavity_volume,
-    validate_thin_sample,
 )
-from afm_transducer.magnon import MagnonModes, bogoliubov_uv
-from afm_transducer.presets import mnf2_material, yig_reference_material
+from afm_transducer.presets import (
+    PRESET_NAMES,
+    assemble,
+    get_preset,
+    mnf2_material,
+    yig_reference_material,
+)
 
 G0_SLOPE = 0.025 / math.sqrt(1e9)  # 25 mHz per sqrt(GHz)
 
@@ -172,63 +177,58 @@ class TestZetaAndXi:
 
 class TestThicknessLaws:
     def test_film_point(self):
-        c = thickness_parameterized_couplings(1e-6)  # 1 um
-        assert ordinary(c.g_beta) == pytest.approx(10.5e6 * math.sqrt(1e-3), rel=1e-12)
-        assert ordinary(c.zeta_beta) == pytest.approx(1.3e-2 * 1e6 / math.sqrt(1e-3), rel=1e-12)
-        assert ordinary(c.xi_beta) == pytest.approx(2.1e-13 * 1e6, rel=1e-12)
+        assert ordinary(calibrated_xi(1e-6)) == pytest.approx(2.1e-7, rel=1e-12, abs=0.0)  # 1 um
 
     def test_unit_thickness_point(self):
-        c = thickness_parameterized_couplings(1e-3)  # 1 mm
-        assert ordinary(c.g_beta) == pytest.approx(10.5e6, rel=1e-12)
-        assert ordinary(c.zeta_beta) == pytest.approx(1.3e4, rel=1e-12)
-        assert ordinary(c.xi_beta) == pytest.approx(2.1e-4, rel=1e-12)
-
-    def test_g_law_matches_first_principles_within_5pct(self):
-        m = mnf2_material()
-        for d_mm in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-            geom = SampleGeometry(cross_section=1e-8, thickness=d_mm * 1e-3)
-            _, g_fp = microwave_coupling(m, geom, cavity())
-            g_law = thickness_parameterized_couplings(d_mm * 1e-3).g_beta
-            assert g_law / g_fp == pytest.approx(1.0, abs=0.05)
-
-    def test_zeta_law_matches_calibrated_pipeline_within_5pct(self):
-        m = mnf2_material()
-        for d_mm in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-            geom = SampleGeometry(cross_section=1e-8, thickness=d_mm * 1e-3)
-            _, Gb = optical_coupling(m, geom, (0.5, 0.4))
-            zeta_pipe = cavity_enhanced_zeta(Gb, 1e6)
-            zeta_law = thickness_parameterized_couplings(d_mm * 1e-3).zeta_beta
-            assert zeta_law / zeta_pipe == pytest.approx(1.0, abs=0.05)
+        assert ordinary(calibrated_xi(1e-3)) == pytest.approx(2.1e-4, rel=1e-12)  # 1 mm
 
     def test_xi_law_linear_in_thickness(self):
-        xi1 = thickness_parameterized_couplings(1e-6).xi_beta
-        xi2 = thickness_parameterized_couplings(2e-6).xi_beta
-        assert xi2 / xi1 == pytest.approx(2.0, rel=1e-12)
+        assert calibrated_xi(2e-6) / calibrated_xi(1e-6) == pytest.approx(2.0, rel=1e-12)
+
+
+RATES = ("g_alpha", "g_beta", "zeta_alpha", "zeta_beta", "xi_alpha", "xi_beta")
+LITERAL = CouplingSet(g_alpha=2e6, g_beta=3e6, G_alpha=5.0, G_beta=4.0,
+                      zeta_alpha=5e4, zeta_beta=4e4, xi_alpha=1e-6, xi_beta=2e-6)
 
 
 class TestHeterostructure:
     def test_identity_at_single_layer(self):
-        c = thickness_parameterized_couplings(1e-6)
-        assert heterostructure_scaling(c, 1) == c
+        assert geometry_scaling(LITERAL, 1) == LITERAL
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(min_value=1, max_value=200), m=st.integers(min_value=1, max_value=200))
     def test_composition(self, n, m):
-        c = thickness_parameterized_couplings(1e-6)
-        once = heterostructure_scaling(c, n * m)
-        twice = heterostructure_scaling(heterostructure_scaling(c, n), m)
+        once = geometry_scaling(LITERAL, n * m)
+        twice = geometry_scaling(geometry_scaling(LITERAL, n), m)
         assert twice.g_beta == pytest.approx(once.g_beta, rel=1e-12)
         assert twice.zeta_beta == pytest.approx(once.zeta_beta, rel=1e-12)
 
     def test_xi_unchanged(self):
-        c = thickness_parameterized_couplings(1e-6)
-        scaled = heterostructure_scaling(c, 100)
-        assert scaled.xi_beta == c.xi_beta
-        assert scaled.g_beta == pytest.approx(10.0 * c.g_beta, rel=1e-12)
+        scaled = geometry_scaling(LITERAL, 100)
+        assert scaled.xi_beta == LITERAL.xi_beta
+        assert scaled.g_beta == pytest.approx(10.0 * LITERAL.g_beta, rel=1e-12)
 
     def test_rejects_zero_layers(self):
         with pytest.raises(ValueError):
-            heterostructure_scaling(CouplingSet(), 0)
+            geometry_scaling(CouplingSet(), 0)
+
+    @pytest.mark.parametrize("name", [
+        name for name in PRESET_NAMES
+        if get_preset(name).g_override is None and get_preset(name).zeta_override is None
+    ])
+    def test_matches_pipeline_at_scaled_geometry(self, name):
+        preset = get_preset(name)
+        base = assemble(preset).system
+        for n in (1, 7, 5000):
+            for ratio in (1e-9, 3.7e-4, 0.5, 1.0, 2.0, 613.0, 1e7):
+                geometry = dataclasses.replace(
+                    preset.geometry, thickness=preset.geometry.thickness * ratio, layer_count=n
+                )
+                expected = assemble(dataclasses.replace(preset, geometry=geometry)).system
+                scaled = geometry_scaling(base, n, ratio)
+                for rate in RATES:
+                    want, got = getattr(expected, rate), getattr(scaled, rate)
+                    assert abs(got - want) <= 1e-15 * want, (rate, n, ratio, got, want)
 
 
 class TestFerromagnetReference:
@@ -250,34 +250,6 @@ class TestFerromagnetReference:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ferromagnet_reference(0.0, 5.0, 1e16)
-
-
-class TestThinSample:
-    def modes(self, beta_hz=20e9):
-        u, v = bogoliubov_uv(mnf2_material())
-        return MagnonModes(
-            omega_alpha=angular(250e9), omega_beta=angular(beta_hz),
-            gamma_alpha=angular(100e6), gamma_beta=angular(100e6),
-            kappa_alpha=0.5, kappa_beta=0.4, U=u, V=v,
-        )
-
-    def test_micron_film_passes(self):
-        report = validate_thin_sample(film_geometry(), self.modes())
-        assert report.ratio_beta == pytest.approx(4.19e-4, rel=0.01)
-        # the spectator 250 GHz mode dominates the worst ratio and still passes
-        assert report.passed
-
-    def test_millimeter_sample_flagged(self):
-        geom = SampleGeometry(cross_section=1e-8, thickness=1e-3)
-        report = validate_thin_sample(geom, self.modes())
-        assert report.ratio_beta == pytest.approx(0.419, rel=0.01)
-        assert not report.passed
-
-    def test_vanishing_thickness_trivially_passes(self):
-        geom = SampleGeometry(cross_section=1e-8, thickness=1e-30)
-        report = validate_thin_sample(geom, self.modes())
-        assert report.passed
-        assert report.worst_ratio < 1e-12
 
 
 class TestGeometryAndParams:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from afm_transducer.errors import ConfigError
 from afm_transducer.output import render_csv
 from afm_transducer.presets import get_preset
 from afm_transducer.sweeps import (
@@ -168,8 +169,8 @@ class TestThicknessWithoutCavity:
 class TestOptimalThickness:
     def test_location_and_matching(self):
         best = find_optimal_thickness()
-        # analytic crossing of the two cooperativity laws: 1.2381e-3 mm
-        assert best.thickness * 1e3 == pytest.approx(1.238095e-3, rel=2e-3)
+        # crossing of the pipeline cooperativities: 1.19388e-3 mm
+        assert best.thickness * 1e3 == pytest.approx(1.193879e-3, rel=2e-3)
         assert 5e-7 <= best.thickness <= 5e-6  # 5e-4 .. 5e-3 mm
         assert best.cooperativity_ratio == pytest.approx(1.0, abs=0.01)
         assert best.log_eta_second_difference < 0.0
@@ -201,6 +202,15 @@ class TestOptimalThickness:
         with pytest.raises(ValueError, match="boundary"):
             find_optimal_thickness(lo_mm=10.0, hi_mm=100.0)
 
+    def test_crossing_meets_fine_tolerance(self):
+        best = find_optimal_thickness(rel_tol=1e-9)
+        assert abs(best.cooperativity_ratio - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("preset", ["mnf2-degenerate-250GHz", "mnf2-nocavity-20GHz"])
+    def test_rejects_preset_without_lower_mode_crossing(self, preset):
+        with pytest.raises(ConfigError):
+            find_optimal_thickness(preset)
+
 
 class TestDetuningSweep:
     def test_peak_at_lock_point(self, detuning_result):
@@ -226,7 +236,7 @@ class TestHeterostructure:
         eta = hetero_result.column("eta")
         n = hetero_result.column("n_layers")
         assert n[0] == 1
-        assert eta[0] == pytest.approx(7.452068e-10, rel=1e-5)
+        assert eta[0] == pytest.approx(7.183430e-10, rel=1e-5, abs=0.0)
 
     def test_headline_projection(self, hetero_result):
         eta = hetero_result.column("eta")
