@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .scattering import Configuration, ModeSystem
 
 __all__ = [
@@ -191,7 +193,7 @@ class Cooperativities:
     def __post_init__(self):
         for name in ("c_em_alpha", "c_em_beta", "c_om_alpha", "c_om_beta",
                      "eta_m_alpha", "eta_m_beta"):
-            if getattr(self, name) < 0:
+            if np.count_nonzero(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 <= self.eta_e <= 1.0:
             raise ValueError("eta_e must lie in [0, 1]")
@@ -200,15 +202,19 @@ class Cooperativities:
 
 
 def cooperativities(system: ModeSystem) -> Cooperativities:
-    """Compute all cooperativity figures for the assembled system."""
+    """Compute all cooperativity figures; couplings may be arrays over sweep points."""
     s = system
     kappa_o = s.kappa_o
     eta_o = s.kappa_oe / kappa_o if kappa_o > 0 else 0.0
+    # float_power is libm pow, as a float's ** is; an array's ** 2 multiplies,
+    # which differs in the last bit on some points
+    g_alpha2, g_beta2, zeta_alpha2, zeta_beta2 = (
+        np.float_power(v, 2) for v in (s.g_alpha, s.g_beta, s.zeta_alpha, s.zeta_beta))
     return Cooperativities(
-        c_em_alpha=4.0 * s.g_alpha**2 / (s.kappa_e * s.gamma_alpha),
-        c_em_beta=4.0 * s.g_beta**2 / (s.kappa_e * s.gamma_beta),
-        c_om_alpha=(4.0 * s.zeta_alpha**2 / (kappa_o * s.gamma_alpha) if kappa_o > 0 else 0.0),
-        c_om_beta=(4.0 * s.zeta_beta**2 / (kappa_o * s.gamma_beta) if kappa_o > 0 else 0.0),
+        c_em_alpha=4.0 * g_alpha2 / (s.kappa_e * s.gamma_alpha),
+        c_em_beta=4.0 * g_beta2 / (s.kappa_e * s.gamma_beta),
+        c_om_alpha=(4.0 * zeta_alpha2 / (kappa_o * s.gamma_alpha) if kappa_o > 0 else 0.0),
+        c_om_beta=(4.0 * zeta_beta2 / (kappa_o * s.gamma_beta) if kappa_o > 0 else 0.0),
         eta_e=s.kappa_ee / s.kappa_e,
         eta_o=eta_o,
         eta_m_alpha=s.xi_alpha / s.gamma_alpha,

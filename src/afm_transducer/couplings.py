@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .constants import HBAR, SPEED_OF_LIGHT, TWO_PI, VACUUM_PERMEABILITY, ordinary
 from .magnon import MaterialParams
 
@@ -253,13 +255,18 @@ def geometry_scaling(rates, n_layers: int = 1, thickness_ratio: float = 1.0):
     time) by r.  A stack of n identical layers boosts g and zeta by
     sqrt(n) through the collective mode and leaves xi unchanged.  The
     single-photon G fields of a :class:`CouplingSet` are not rescaled.
+    ``n_layers`` and ``thickness_ratio`` may be arrays over sweep points,
+    which make the six fields arrays.
     """
-    if n_layers < 1:
+    if np.count_nonzero(n_layers < 1):
         raise ValueError("n_layers must be >= 1")
-    if thickness_ratio <= 0:
+    if np.count_nonzero(thickness_ratio <= 0):
         raise ValueError("thickness_ratio must be positive")
-    g_factor = math.sqrt(thickness_ratio * n_layers)
-    zeta_factor = math.sqrt(n_layers / thickness_ratio)
+    g_factor = np.sqrt(thickness_ratio * n_layers)
+    zeta_factor = np.sqrt(n_layers / thickness_ratio)
+    if g_factor.ndim == 0:
+        # Python floats: the closed forms' complex arithmetic rounds np.float64 differently
+        g_factor, zeta_factor = float(g_factor), float(zeta_factor)
     return replace(
         rates,
         g_alpha=rates.g_alpha * g_factor,

@@ -11,12 +11,14 @@ couplings of the modes to the four ports.  Ports are the itinerant
 microwave field on index 0 and the itinerant optical field on index 3;
 the transduction efficiency is |S[3, 0]|^2 and the microwave reflection
 |S[0, 0]|^2.
+
+Array probe frequencies and rate fields broadcast to one stack of points,
+assembled, solved and checked in one call; a scalar is the 0-d stack.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -57,7 +59,8 @@ class ModeSystem:
     modes and the xi fields couple the magnons directly to the itinerant
     light.  ``delta_omega_o`` is a signed detuning; the optical response
     peaks at probe frequency -delta_omega_o, so resonance locking sets it
-    to minus the probe.
+    to minus the probe.  Any rate field may be an array over sweep points;
+    array fields broadcast to one stack of systems.
     """
 
     configuration: Configuration
@@ -85,15 +88,15 @@ class ModeSystem:
             "kappa_ee", "kappa_ei", "kappa_oe", "kappa_oi",
             "gamma_alpha", "gamma_beta", "xi_alpha", "xi_beta",
         ):
-            if getattr(self, name) < 0:
+            if np.count_nonzero(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be non-negative")
         if self.configuration is Configuration.WITH_OPTICAL_CAVITY:
-            if self.xi_alpha != 0.0 or self.xi_beta != 0.0:
+            if np.count_nonzero(self.xi_alpha) or np.count_nonzero(self.xi_beta):
                 raise ValueError("xi couplings are unused with an optical cavity")
         else:
-            if self.zeta_alpha != 0.0 or self.zeta_beta != 0.0:
+            if np.count_nonzero(self.zeta_alpha) or np.count_nonzero(self.zeta_beta):
                 raise ValueError("zeta couplings require an optical cavity")
-            if self.kappa_oe != 0.0 or self.kappa_oi != 0.0:
+            if np.count_nonzero(self.kappa_oe) or np.count_nonzero(self.kappa_oi):
                 raise ValueError("optical cavity decay rates require an optical cavity")
 
     @property
@@ -110,7 +113,8 @@ class DynamicsMatrices:
     """The matrices A (complex symmetric) and B (real port couplings).
 
     A is modes x modes and B modes x 4 ports; there are four modes with
-    an optical cavity and three without one.
+    an optical cavity and three without one.  A stack of systems gives
+    stacks of both, of shape (..., modes, modes) and (..., modes, 4).
     """
 
     a: np.ndarray
@@ -140,104 +144,132 @@ def build_dynamics(system: ModeSystem) -> DynamicsMatrices:
     s = system
     cavity = s.configuration is Configuration.WITH_OPTICAL_CAVITY
     modes = 4 if cavity else 3
-    a = np.zeros((modes, modes), dtype=complex)
-    b = np.zeros((modes, 4), dtype=float)
-    a[0, 0] = 1j * s.omega_e + s.kappa_e / 2.0
-    a[1, 1] = 1j * s.omega_alpha + s.gamma_alpha / 2.0
-    a[2, 2] = 1j * s.omega_beta + s.gamma_beta / 2.0
-    a[0, 1] = a[1, 0] = 1j * s.g_alpha
-    a[0, 2] = a[2, 0] = 1j * s.g_beta
-    b[0, 0] = math.sqrt(s.kappa_ee)
+    stack = np.broadcast(*vars(s).values()).shape
+    a = np.zeros(stack + (modes, modes), dtype=complex)
+    b = np.zeros(stack + (modes, 4), dtype=float)
+    a[..., 0, 0] = 1j * s.omega_e + s.kappa_e / 2.0
+    a[..., 1, 1] = 1j * s.omega_alpha + s.gamma_alpha / 2.0
+    a[..., 2, 2] = 1j * s.omega_beta + s.gamma_beta / 2.0
+    a[..., 0, 1] = a[..., 1, 0] = 1j * s.g_alpha
+    a[..., 0, 2] = a[..., 2, 0] = 1j * s.g_beta
+    b[..., 0, 0] = np.sqrt(s.kappa_ee)
     if cavity:
-        a[3, 3] = -1j * s.delta_omega_o + s.kappa_o / 2.0
-        a[1, 3] = a[3, 1] = 1j * s.zeta_alpha
-        a[2, 3] = a[3, 2] = 1j * s.zeta_beta
-        b[3, 3] = math.sqrt(s.kappa_oe)
+        a[..., 3, 3] = -1j * s.delta_omega_o + s.kappa_o / 2.0
+        a[..., 1, 3] = a[..., 3, 1] = 1j * s.zeta_alpha
+        a[..., 2, 3] = a[..., 3, 2] = 1j * s.zeta_beta
+        b[..., 3, 3] = np.sqrt(s.kappa_oe)
     else:
-        b[1, 3] = math.sqrt(s.xi_alpha)
-        b[2, 3] = math.sqrt(s.xi_beta)
+        b[..., 1, 3] = np.sqrt(s.xi_alpha)
+        b[..., 2, 3] = np.sqrt(s.xi_beta)
     return DynamicsMatrices(a=a, b=b, configuration=s.configuration)
 
 
-def solve_complex_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _point(index: int, omega, stack: tuple) -> str:
+    """Name one point of a flattened stack, with its probe frequency when known."""
+    if omega is None:
+        return f"point {index}"
+    return f"point {index} (omega = {np.broadcast_to(omega, stack).ravel()[index]:g} rad/s)"
+
+
+def solve_complex_linear(matrix: np.ndarray, rhs: np.ndarray, omega=None) -> np.ndarray:
     """Pivoted dense solve of matrix @ x = rhs with a conditioning check.
 
-    Emits a warning when the condition number exceeds 1e12 and raises
-    :class:`SingularMatrixError` on exact singularity.  Never forms an
-    explicit inverse.
+    ``matrix`` is one square matrix or a stack (..., n, n), solved in one
+    call; ``omega``, when given, broadcasts to the probe frequency of each
+    matrix for the messages.  Emits one warning when the 2-norm condition
+    number of any matrix is non-finite or exceeds 1e12, naming how many
+    did, the worst and where it sits.  Raises :class:`SingularMatrixError`
+    naming the first exactly singular matrix.  Never forms an explicit
+    inverse.
     """
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError("matrix must be square")
     try:
         solution = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "dynamics matrix is singular at this probe frequency"
-        ) from exc
+        # the stack fails as a whole; det is exactly 0 where the LU
+        # factorisation meets the zero pivot that made the solve fail
+        first = int(np.argmax(np.ravel(np.linalg.det(matrix)) == 0))
+        where = _point(first, omega, matrix.shape[:-2])
+        raise SingularMatrixError(f"dynamics matrix is singular at {where}") from exc
     cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > _COND_WARN_THRESHOLD:
+    ill = np.count_nonzero(~(cond <= _COND_WARN_THRESHOLD))
+    if ill:
+        worst = int(np.argmax(cond))  # nan ranks first, then inf
         warnings.warn(
-            f"linear system is ill-conditioned (cond ~ {cond:.2e}); "
+            f"linear system is ill-conditioned at {ill} of {np.size(cond)} points (worst "
+            f"cond ~ {np.ravel(cond)[worst]:.2e} at {_point(worst, omega, matrix.shape[:-2])}); "
             "results may lose precision",
             stacklevel=2,
         )
     return solution
 
 
-def scattering_matrix(dm: DynamicsMatrices, omega: float) -> np.ndarray:
-    """Exact scattering matrix S(omega) = I - B^T [-i omega I + A]^{-1} B."""
-    m = -1j * omega * np.eye(len(dm.a)) + dm.a
-    try:
-        x = solve_complex_linear(m, dm.b)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"cannot invert dynamics at omega = {omega:g} rad/s in the "
-            f"{dm.configuration.value} configuration"
-        ) from exc
-    return np.eye(4) - dm.b.T @ x
+def scattering_matrix(dm: DynamicsMatrices, omega) -> np.ndarray:
+    """Exact scattering matrix S(omega) = I - B^T [-i omega I + A]^{-1} B.
+
+    ``omega`` broadcasts against the stack of ``dm``; S is (..., 4, 4).
+    """
+    omega = np.asarray(omega, dtype=float)
+    m = -1j * omega[..., None, None] * np.eye(dm.a.shape[-1]) + dm.a
+    x = solve_complex_linear(m, dm.b, omega=omega)
+    # free M and subtract in place: at most two stacks of the sweep's size are alive
+    del m
+    s = np.swapaxes(dm.b, -1, -2) @ x
+    return np.subtract(np.eye(4), s, out=s)
 
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Scattering matrix at one probe frequency with derived port figures."""
+    """Scattering matrices at the probe frequencies, with arrays of port figures per point."""
 
-    omega: float
+    omega: float | np.ndarray
     s: np.ndarray
-    eta: float
-    reflection: float
+    eta: float | np.ndarray
+    reflection: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0 + _PASSIVITY_SLACK:
-            raise ValueError(f"efficiency out of the passive range: {self.eta!r}")
-        if not 0.0 <= self.reflection <= 1.0 + _PASSIVITY_SLACK:
-            raise ValueError(f"reflection out of the passive range: {self.reflection!r}")
+        for label, value in (("efficiency", self.eta), ("reflection", self.reflection)):
+            value = np.ravel(value)
+            outside = value[~((0.0 <= value) & (value <= 1.0 + _PASSIVITY_SLACK))]
+            if outside.size:
+                raise ValueError(f"{label} out of the passive range: {outside[0]!r}")
         self.s.flags.writeable = False
 
 
-def efficiency(s: np.ndarray) -> float:
-    """Transduction efficiency |S[3, 0]|^2.
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # hypot is the scalar abs(z) bit for bit; the vectorised np.abs on
+    # complex arrays differs from it in the last bit
+    return np.hypot(z.real, z.imag)
+
+
+def efficiency(s: np.ndarray) -> float | np.ndarray:
+    """Transduction efficiency |S[3, 0]|^2, per point of a stack.
 
     The dynamics matrix is complex symmetric, so |S41| and |S14| agree;
-    this is asserted rather than assumed.
+    this is asserted at every point rather than assumed.
     """
-    forward = abs(s[3, 0])
-    backward = abs(s[0, 3])
-    if abs(forward - backward) > 1e-12:
+    forward = _modulus(s[..., 3, 0])
+    backward = _modulus(s[..., 0, 3])
+    violated = np.flatnonzero(abs(forward - backward) > 1e-12)
+    if violated.size:
+        i = violated[0]
         raise AssertionError(
-            f"scattering reciprocity violated: |S41| = {forward!r}, |S14| = {backward!r}"
+            f"scattering reciprocity violated at point {i}: "
+            f"|S41| = {np.ravel(forward)[i]!r}, |S14| = {np.ravel(backward)[i]!r}"
         )
     return forward * forward
 
 
-def reflection(s: np.ndarray) -> float:
-    """Microwave port reflection |S[0, 0]|^2."""
-    r = abs(s[0, 0])
+def reflection(s: np.ndarray) -> float | np.ndarray:
+    """Microwave port reflection |S[0, 0]|^2, per point of a stack."""
+    r = _modulus(s[..., 0, 0])
     return r * r
 
 
-def scatter(system: ModeSystem, omega: float) -> ScatteringResult:
-    """Build the dynamics, solve at one probe frequency and package results."""
+def scatter(system: ModeSystem, omega) -> ScatteringResult:
+    """Build the dynamics, solve at every probe frequency in one call and package results."""
     s = scattering_matrix(build_dynamics(system), omega)
     return ScatteringResult(
         omega=omega, s=s, eta=efficiency(s), reflection=reflection(s)

@@ -3,9 +3,10 @@
 Every sweep is deterministic (identical spec, bit-identical rows), every
 point is evaluated through the exact matrix solver, and rows carry the
 cooperativities alongside the efficiency so the curves are
-self-describing.  Sweep points are mutually independent; they are
-evaluated in spec order.  Every sweep runs through :func:`run_sweep`,
-which takes an already resolved preset, so overrides hold at each point.
+self-describing.  Sweep points are mutually independent; all points of
+one sweep are solved and checked in one stacked call and emitted in spec
+order.  Every sweep runs through :func:`run_sweep`, which takes an
+already resolved preset, so overrides hold at each point.
 """
 
 from __future__ import annotations
@@ -98,10 +99,6 @@ class SweepResult:
         return len(self.rows)
 
 
-_CAVITY_TAIL = ("c_em_beta", "c_om_beta", "g_beta_hz", "zeta_beta_hz")
-_ITINERANT_TAIL = ("c_em_beta", "eta_m_beta", "g_beta_hz", "xi_beta_hz", "thin_sample_ok")
-
-
 def _require_computed_couplings(preset: Preset, what: str) -> None:
     if preset.g_override is not None or preset.zeta_override is not None:
         raise ConfigError(
@@ -109,13 +106,13 @@ def _require_computed_couplings(preset: Preset, what: str) -> None:
         )
 
 
-def _axis(variable: SweepVariable, preset: Preset, assembled: AssembledSystem):
+def _axis(variable: SweepVariable, preset: Preset, assembled: AssembledSystem, grid: np.ndarray):
     """What one sweep variable contributes to the engine.
 
-    Returns the value column, ``point`` (grid value to the system and probe
-    frequency solved there), the tail columns, ``tail`` (solved system and
-    grid value to the cells after ``reflection``) and provenance extras.
-    Thickness and layer-count points rescale the assembled rates with
+    Returns the value column, the system with the swept rates as arrays
+    over ``grid``, the probe frequencies, the tail (column name to the
+    cells after ``reflection``) and provenance extras.  Thickness and
+    layer-count points rescale the assembled rates with
     :func:`geometry_scaling`, which is what the pipeline computes at that
     geometry.
 
@@ -128,40 +125,30 @@ def _axis(variable: SweepVariable, preset: Preset, assembled: AssembledSystem):
     base, probe = assembled.system, assembled.probe
     cavity = base.configuration is Configuration.WITH_OPTICAL_CAVITY
 
-    def cavity_tail(system: ModeSystem, _) -> tuple:
+    def cavity_tail(system: ModeSystem) -> dict:
         coop = cooperativities(system)
-        return (coop.c_em_beta, coop.c_om_beta, ordinary(system.g_beta), ordinary(system.zeta_beta))
+        return {"c_em_beta": coop.c_em_beta, "c_om_beta": coop.c_om_beta,
+                "g_beta_hz": ordinary(system.g_beta), "zeta_beta_hz": ordinary(system.zeta_beta)}
 
     if variable is SweepVariable.PROBE_DETUNING:
-        return ("probe_detuning_hz", lambda det_hz: (base, probe + 2.0 * math.pi * det_hz),
-                (), lambda system, _: (), {})
+        return "probe_detuning_hz", base, probe + 2.0 * math.pi * grid, {}, {}
     if variable is SweepVariable.THICKNESS:
         _require_computed_couplings(preset, "the thickness sweep")
-        thickness_mm = preset.geometry.thickness * 1e3
-
-        def thickness_point(d_mm: float) -> tuple[ModeSystem, float]:
-            return geometry_scaling(base, thickness_ratio=d_mm / thickness_mm), probe
-
+        system = geometry_scaling(base, thickness_ratio=grid / (preset.geometry.thickness * 1e3))
         if cavity:
-            return "thickness_mm", thickness_point, _CAVITY_TAIL, cavity_tail, {}
+            return "thickness_mm", system, probe, cavity_tail(system), {}
         cap_m = _THIN_SAMPLE_THRESHOLD * SPEED_OF_LIGHT / base.omega_beta
-
-        def itinerant_tail(system: ModeSystem, d_mm: float) -> tuple:
-            coop = cooperativities(system)
-            return (coop.c_em_beta, coop.eta_m_beta, ordinary(system.g_beta),
-                    ordinary(system.xi_beta), bool(d_mm * 1e-3 <= cap_m))
-
-        return ("thickness_mm", thickness_point, _ITINERANT_TAIL, itinerant_tail,
-                {"thin_sample_cap_mm": cap_m * 1e3})
+        coop = cooperativities(system)
+        tail = {"c_em_beta": coop.c_em_beta, "eta_m_beta": coop.eta_m_beta,
+                "g_beta_hz": ordinary(system.g_beta), "xi_beta_hz": ordinary(system.xi_beta),
+                "thin_sample_ok": grid * 1e-3 <= cap_m}
+        return "thickness_mm", system, probe, tail, {"thin_sample_cap_mm": cap_m * 1e3}
     if variable is SweepVariable.FARADAY_ANGLE and cavity:
-        def faraday_point(ratio: float) -> tuple[ModeSystem, float]:
-            zeta_alpha, zeta_beta = base.zeta_alpha * ratio, base.zeta_beta * ratio
-            return replace(base, zeta_alpha=zeta_alpha, zeta_beta=zeta_beta), probe
-
-        return "theta_f_ratio", faraday_point, _CAVITY_TAIL, cavity_tail, {}
+        system = replace(base, zeta_alpha=base.zeta_alpha * grid, zeta_beta=base.zeta_beta * grid)
+        return "theta_f_ratio", system, probe, cavity_tail(system), {}
     if variable is SweepVariable.LAYER_COUNT and cavity:
-        return ("n_layers", lambda n: (geometry_scaling(base, n), probe),
-                _CAVITY_TAIL, cavity_tail,
+        system = geometry_scaling(base, grid)
+        return ("n_layers", system, probe, cavity_tail(system),
                 {"per_layer_thickness_mm": preset.geometry.thickness * 1e3})
     raise ConfigError(
         f"sweep variable {variable.value!r} cannot act on the "
@@ -172,7 +159,7 @@ def _axis(variable: SweepVariable, preset: Preset, assembled: AssembledSystem):
 def _sweep(
     spec: SweepSpec, preset: Preset, grid, per_layer_thickness: float = _PER_LAYER_THICKNESS
 ) -> SweepResult:
-    """The one point loop behind every sweep: assemble once, solve each grid value.
+    """The engine behind every sweep: assemble once, solve the whole grid in one call.
 
     A layer-count sweep assembles one layer of ``per_layer_thickness``.
     """
@@ -180,26 +167,22 @@ def _sweep(
         geometry = replace(preset.geometry, thickness=per_layer_thickness, layer_count=1)
         preset = replace(preset, geometry=geometry)
     assembled = assemble(preset)
-    value_column, point, tail_columns, tail, extra = _axis(spec.variable, preset, assembled)
     grid = np.asarray(grid)
-    rows = []
-    etas = []
-    for x, value in zip(grid, grid.tolist()):
-        system, omega = point(x)
-        res = scatter(system, omega)
-        etas.append(res.eta)
-        rows.append(
-            (spec.preset, system.configuration.value, value, res.eta, res.reflection)
-            + tail(system, x)
-        )
+    value_column, system, omega, tail, extra = _axis(spec.variable, preset, assembled, grid)
+    res = scatter(system, omega)
+    # .tolist() gives Python floats, ints and bools, as the renderers expect
+    cells = [np.broadcast_to(c, grid.shape).tolist()
+             for c in (grid, res.eta, res.reflection, *tail.values())]
+    configuration = system.configuration.value
+    rows = tuple((spec.preset, configuration, *row) for row in zip(*cells))
     if spec.variable is SweepVariable.PROBE_DETUNING:
-        extra["fwhm_hz"] = _full_width_half_max(grid, np.asarray(etas))
+        extra["fwhm_hz"] = _full_width_half_max(grid, res.eta)
     return SweepResult(
-        columns=("preset", "configuration", value_column, "eta", "reflection") + tail_columns,
-        rows=tuple(rows),
+        columns=("preset", "configuration", value_column, "eta", "reflection", *tail),
+        rows=rows,
         provenance={
             "preset": spec.preset,
-            "configuration": assembled.system.configuration.value,
+            "configuration": configuration,
             "code_version": __version__,
             "variable": spec.variable.value,
             "scale": spec.scale,
@@ -401,14 +384,10 @@ def find_optimal_thickness(
     if abs(matching - 1.0) > rel_tol:
         raise ValueError(f"|C_om/C_em - 1| = {abs(matching - 1.0):.3e} at d* exceeds {rel_tol:g}")
 
-    def eta_at(r: float) -> float:
-        return scatter(geometry_scaling(base, thickness_ratio=r), probe).eta
-
     step = math.exp(math.log(hi_mm / lo_mm) / 63.0)
-    eta = eta_at(ratio)
-    second_diff = (
-        math.log(eta_at(ratio / step)) - 2.0 * math.log(eta) + math.log(eta_at(ratio * step))
-    )
+    ratios = np.array([ratio / step, ratio, ratio * step])
+    below, eta, above = scatter(geometry_scaling(base, thickness_ratio=ratios), probe).eta.tolist()
+    second_diff = math.log(below) - 2.0 * math.log(eta) + math.log(above)
     return OptimalThickness(
         thickness=d_star_m,
         eta=eta,

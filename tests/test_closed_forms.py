@@ -175,8 +175,8 @@ class TestHeadlineEstimates:
         assembled = assemble(get_preset("mnf2-nocavity-20GHz"))
         eta = eta_without_cavity_single(assembled.system, "beta", assembled.probe)
         coop = cooperativities(assembled.system)
-        assert coop.eta_m_beta == pytest.approx(2.1e-15, rel=1e-9)
-        assert eta == pytest.approx(9.4288550e-20, rel=1e-6)
+        assert coop.eta_m_beta == pytest.approx(2.1e-15, rel=1e-9, abs=0)
+        assert eta == pytest.approx(9.4288550e-20, rel=1e-6, abs=0)
         assert 3e-20 < eta < 3e-19
 
     def test_cooperativity_values_match_quoted(self):
@@ -193,6 +193,19 @@ class TestCooperativityForms:
             eta_e=0.5, eta_o=0.5, eta_m_alpha=0.0, eta_m_beta=eta_m,
         )
 
+    def test_stacked_equals_point_by_point(self, rng):
+        # sweep rows take their cooperativities from one stacked call; each
+        # must equal the single-point figure bit for bit
+        system = draw_with_cavity_system(rng)
+        scales = np.geomspace(1e-3, 1e3, 4001)
+        stacked = cooperativities(dataclasses.replace(
+            system, g_beta=system.g_beta * scales, zeta_beta=system.zeta_beta / scales))
+        for i, scale in enumerate(scales.tolist()):
+            single = cooperativities(dataclasses.replace(
+                system, g_beta=system.g_beta * scale, zeta_beta=system.zeta_beta / scale))
+            assert stacked.c_em_beta[i] == single.c_em_beta
+            assert stacked.c_om_beta[i] == single.c_om_beta
+
     def test_zero_cooperativities(self):
         assert cooperativity_form_with_cavity(self.coops(0.0, 0.0)) == 0.0
         assert cooperativity_form_without_cavity(self.coops(0.0, 0.0)) == 0.0
@@ -203,7 +216,7 @@ class TestCooperativityForms:
 
     def test_no_cavity_quoted_point(self):
         eta = cooperativity_form_without_cavity(self.coops(0.0, 2.18e-5, eta_m=2.1e-15))
-        assert eta == pytest.approx(9.2e-20, rel=1e-2)
+        assert eta == pytest.approx(9.2e-20, rel=1e-2, abs=0)
 
     def test_impedance_match_factor(self):
         coop = self.coops(0.0, 1.0, eta_m=1.0)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +223,73 @@ class TestEfficiencyHelpers:
             res = scatter(system, system.omega_e)
             assert 0.0 <= res.eta <= 1.0 + 1e-12
             assert 0.0 <= res.reflection <= 1.0 + 1e-12
+
+
+class TestStackedScatter:
+    """A stack of points solves to exactly what each point solves to alone."""
+
+    def test_probe_stack_equals_point_by_point(self, rng):
+        for draw in (draw_with_cavity_system, draw_without_cavity_system):
+            for _ in range(10):
+                system = draw(rng)
+                grid = probe_grid(system)
+                stacked = scatter(system, grid)
+                assert stacked.s.shape == (len(grid), 4, 4)
+                for i, omega in enumerate(grid):
+                    single = scatter(system, omega)
+                    assert stacked.eta[i] == single.eta
+                    assert stacked.reflection[i] == single.reflection
+                    assert np.array_equal(stacked.s[i], single.s)
+
+    def test_coupling_stack_equals_point_by_point(self, rng):
+        scales = np.geomspace(0.1, 10.0, 7)
+        draws = ((draw_with_cavity_system, "zeta"), (draw_without_cavity_system, "xi"))
+        for draw, optical in draws:
+            for _ in range(10):
+                system = draw(rng)
+                names = ("g_alpha", "g_beta", f"{optical}_alpha", f"{optical}_beta")
+                omega = system.omega_e + 0.3 * system.kappa_e
+                stacked = scatter(dataclasses.replace(
+                    system, **{name: getattr(system, name) * scales for name in names}), omega)
+                for i, scale in enumerate(scales):
+                    single = scatter(dataclasses.replace(
+                        system, **{name: getattr(system, name) * scale for name in names}), omega)
+                    assert stacked.eta[i] == single.eta
+                    assert stacked.reflection[i] == single.reflection
+                    assert np.array_equal(stacked.s[i], single.s)
+
+    def test_lossless_stack_names_singular_probe(self):
+        # powers of two keep omega_e + g exact, so the dynamics at that
+        # eigenfrequency are exactly singular
+        omega_e, g = 2.0**37, 2.0**33
+        system = ModeSystem(
+            configuration=Configuration.WITH_OPTICAL_CAVITY,
+            omega_e=omega_e, omega_alpha=2.0 * omega_e, omega_beta=omega_e,
+            kappa_ee=0.0, kappa_ei=0.0, gamma_alpha=0.0, gamma_beta=0.0,
+            delta_omega_o=-omega_e, g_beta=g,
+        )
+        grid = omega_e + g * np.array([0.5, 1.0, 1.5])
+        named = re.escape(f"singular at point 1 (omega = {omega_e + g:g} rad/s)")
+        with pytest.raises(SingularMatrixError, match=named):
+            scatter(system, grid)
+
+    def test_one_warning_names_the_ill_conditioned_point(self):
+        # a nearly lossless microwave cavity probed on resonance at index 2,
+        # where cond ~ 2e12 sits just above the threshold
+        s = decoupled_system(kappa_ee_hz=5e-4, kappa_ei_hz=5e-4)
+        grid = s.omega_e + TWO_PI * np.array([-2e6, -1e6, 0.0, 1e6, 2e6])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scatter(s, grid)
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert "ill-conditioned at 1 of 5 points" in message
+        assert f"point 2 (omega = {grid[2]:g} rad/s)" in message
+
+    def test_single_point_gives_floats(self):
+        res = scatter(decoupled_system(), angular(20e9) + 1e6)
+        assert isinstance(res.eta, float) and isinstance(res.reflection, float)
+        assert res.s.shape == (4, 4)
 
 
 class TestLinearSolver:

@@ -60,11 +60,11 @@ class TestFaradaySweep:
         eta = faraday_result.column("eta")
         ratio = faraday_result.column("theta_f_ratio")
         assert ratio[-1] == pytest.approx(1.0)
-        assert eta[-1] == pytest.approx(7.152058e-10, rel=1e-5)
+        assert eta[-1] == pytest.approx(7.152058e-10, rel=1e-5, abs=0)
 
     def test_hundredth_endpoint(self, faraday_result):
         eta = faraday_result.column("eta")
-        assert eta[0] == pytest.approx(7.152062e-14, rel=1e-5)
+        assert eta[0] == pytest.approx(7.152062e-14, rel=1e-5, abs=0)
 
     def test_quadratic_slope(self, faraday_result):
         slope = loglog_slope(faraday_result.column("theta_f_ratio"), faraday_result.column("eta"))
@@ -138,7 +138,7 @@ class TestThicknessWithoutCavity:
         eta = thickness_nocavity_result.column("eta")
         idx = int(np.argmin(np.abs(d - 1e-3)))
         assert d[idx] == pytest.approx(1e-3, rel=1e-9)
-        assert eta[idx] == pytest.approx(9.4289e-20, rel=1e-4)
+        assert eta[idx] == pytest.approx(9.4289e-20, rel=1e-4, abs=0)
 
     def test_halving_thickness_quarters_eta(self):
         spec = SweepSpec(
