@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the four headline sweeps and write their CSV artifacts.
+"""Run the five headline sweeps and write their CSV artifacts.
 
 Usage:
     python scripts/reproduce_sweeps.py [--outdir results]

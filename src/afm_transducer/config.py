@@ -5,9 +5,9 @@ Every frequency-valued key ends in ``_hz`` and takes an ordinary
 frequency, either a bare number in Hz or a number with a unit suffix
 (``mHz``, ``Hz``, ``kHz``, ``MHz``, ``GHz``, ``THz``); conversion to
 angular frequencies happens here and only here.  All frequencies and
-rates must be non-negative; the one signed key is ``delta_omega_o_hz``
-(a detuning).  Inline values override the preset field by field and the
-origin of every field is recorded.
+rates must be non-negative and the magnon linewidths positive; the one
+signed key is ``delta_omega_o_hz`` (a detuning).  Inline values override
+the preset field by field and the origin of every field is recorded.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class Command(enum.Enum):
     VALIDATE = "validate"
 
 
-def _parse_frequency(text: str, key: str, line: int | None, signed: bool) -> float:
+def _parse_frequency(text: str, key: str, line: int | None, signed: bool,
+                     positive: bool = False) -> float:
     parts = text.split()
     try:
         if len(parts) == 2 and parts[1] in _FREQ_SUFFIXES:
@@ -56,6 +57,8 @@ def _parse_frequency(text: str, key: str, line: int | None, signed: bool) -> flo
         raise ConfigError(f"malformed frequency for {key!r}: {text!r}", line) from None
     if not signed and value < 0:
         raise ConfigError(f"frequency {key!r} must be non-negative, got {text!r}", line)
+    if positive and not value > 0:
+        raise ConfigError(f"frequency {key!r} must be > 0, got {text!r}", line)
     return value
 
 
@@ -97,8 +100,9 @@ _PARSERS = {
     # magnon modes
     "omega_alpha_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
     "omega_beta_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
-    "gamma_alpha_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
-    "gamma_beta_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
+    # the cooperativities divide by the magnon linewidths
+    "gamma_alpha_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False, positive=True),
+    "gamma_beta_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False, positive=True),
     # material
     "omega_exchange_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),
     "omega_easyaxis_hz": lambda t, k, l: _parse_frequency(t, k, l, signed=False),

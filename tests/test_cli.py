@@ -100,6 +100,24 @@ class TestSweepCommand:
         assert 3e-14 < float(rows[0]["eta"]) < 3e-13
         assert 3e-10 < float(rows[-1]["eta"]) < 3e-9
 
+    def test_nearly_lossless_detuning_warning(self, capsys, tmp_path):
+        # every rate at 1 mHz leaves one point, on resonance, above cond 1e12
+        rates = ("kappa_ee_hz", "kappa_ei_hz", "kappa_oe_hz", "kappa_oi_hz",
+                 "gamma_alpha_hz", "gamma_beta_hz")
+        argv = ["sweep", "--preset", "mnf2-easyaxis-20GHz", "--output", str(tmp_path / "d.csv")]
+        for assignment in (
+            "sweep_variable=probe-detuning", "sweep_lo=-2e9", "sweep_hi=2e9",
+            "sweep_count=4001", "sweep_scale=linear", *(f"{k}=1 mHz" for k in rates),
+        ):
+            argv += ["--set", assignment]
+        with pytest.warns(UserWarning) as caught:
+            code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [str(w.message) for w in caught] == [
+            "linear system is ill-conditioned at 1 of 4001 points (worst cond ~ 2.30e+14 "
+            "at point 2000 (omega = 1.25664e+11 rad/s)); results may lose precision"
+        ]
+
     def test_rerun_byte_identical(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
@@ -155,6 +173,21 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "efficiency")
         assert code == 2
         assert "either --config or --preset" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("key", ["gamma_alpha_hz", "gamma_beta_hz"])
+    @pytest.mark.parametrize("preset", ["mnf2-easyaxis-20GHz", "mnf2-degenerate-250GHz",
+                                        "mnf2-nocavity-20GHz"])
+    @pytest.mark.parametrize("command", ["efficiency", "validate", "sweep"])
+    def test_zero_magnon_linewidth_rejected(self, capsys, command, preset, key):
+        argv = [command, "--preset", preset, "--set", f"{key}=0 MHz"]
+        if command == "sweep":
+            argv += ["--set", "sweep_variable=probe-detuning", "--set", "sweep_lo=-1e9",
+                     "--set", "sweep_hi=1e9", "--set", "sweep_count=5"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ConfigError" and error["exit_code"] == 2
+        assert error["message"] == f"frequency {key!r} must be > 0, got '0 MHz'"
 
 
 OVERRIDE = "gamma_beta_hz=37 MHz"

@@ -1,6 +1,7 @@
 """Config parsing, preset resolution, deterministic emission."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -49,6 +50,24 @@ class TestFormatFloat:
         assert "E" not in s and "+" not in s
         assert float(s) == pytest.approx(x, rel=1e-11, abs=1e-300)
 
+    def test_non_finite_values_parse_back(self):
+        assert [format_float(x) for x in (math.nan, math.inf, -math.inf)] == ["nan", "inf", "-inf"]
+        assert math.isnan(float(format_float(math.nan)))
+        assert float(format_float(-math.inf)) == -math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    def test_column_equals_value_by_value(self, values):
+        # the exponent compaction over a joined column is the per-value rule
+        def reference(x):
+            mantissa, _, exponent = f"{x:.12e}".partition("e")
+            sign = "-" if exponent.startswith("-") else ""
+            return f"{mantissa}e{sign}{exponent.lstrip('+-').lstrip('0') or '0'}"
+
+        rows = [(x,) for x in values]
+        lines = render_csv(("x",), rows, {}).decode().split("\n")
+        assert lines[1:-1] == [reference(x) for x in values]
+
 
 class TestEmission:
     COLUMNS = ("name", "value", "flag")
@@ -62,6 +81,21 @@ class TestEmission:
         assert lines[2] == "name,value,flag"
         assert lines[3] == "a,0.000000000000e0,true"
         assert lines[4] == "b,7.000000000000e-10,false"
+
+    def test_non_finite_cells(self):
+        rows = (("a", math.nan, 1.0), ("b", math.inf, -math.inf))
+        lines = render_csv(("name", "x", "y"), rows, {}).decode().strip().split("\n")
+        assert lines[1:] == ["a,nan,1.000000000000e0", "b,inf,-inf"]
+
+    def test_equal_values_of_other_types_render_apart(self):
+        rows = ((True, 1, 1.0), (1, 1.0, True), (1.0, True, 1), (True, True, 1))
+        lines = render_csv(("a", "b", "c"), rows, {}).decode().strip().split("\n")
+        assert lines[1:] == [
+            "true,1,1.000000000000e0",
+            "1,1.000000000000e0,true",
+            "1.000000000000e0,true,1",
+            "true,true,1",
+        ]
 
     def test_byte_identical_reruns(self):
         first = render_csv(self.COLUMNS, self.ROWS, self.PROV)

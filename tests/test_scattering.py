@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afm_transducer.closed_forms import eta_with_cavity_full, eta_without_cavity_full
 from afm_transducer.constants import TWO_PI, angular
@@ -341,3 +343,143 @@ class TestLinearSolver:
         eta = scatter(system, 0.0).eta
         assert eta > 0.0
         assert eta == pytest.approx(eta_without_cavity_full(system, 0.0), rel=1e-12, abs=0.0)
+
+
+_WARNING = re.compile(
+    r"ill-conditioned at (\d+) of (\d+) points \(worst cond ~ (\S+) at point (\d+)"
+    r"(?: \(omega = (\S+) rad/s\))?\)"
+)
+
+
+def outcome_of_screen(matrix, omega):
+    """What solve_complex_linear reports: nothing, the warning's fields or the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            solve_complex_linear(matrix, np.eye(matrix.shape[-1]), omega=omega)
+        except SingularMatrixError as exc:
+            return "singular", re.search(r"at point (\d+)", str(exc)).group(1)
+        except np.linalg.LinAlgError as exc:
+            return type(exc).__name__, str(exc)
+    assert len(caught) <= 1
+    return _WARNING.search(str(caught[0].message)).groups() if caught else None
+
+
+def outcome_of_full_svd(matrix, omega):
+    """The same report from a solve and np.linalg.cond over the whole stack."""
+    try:
+        np.linalg.solve(matrix, np.eye(matrix.shape[-1]))
+    except np.linalg.LinAlgError:
+        return "singular", str(int(np.argmax(np.ravel(np.linalg.det(matrix)) == 0)))
+    try:
+        cond = np.ravel(np.linalg.cond(matrix))
+    except np.linalg.LinAlgError as exc:
+        return type(exc).__name__, str(exc)
+    ill = np.count_nonzero(~(cond <= 1e12))
+    if not ill:
+        return None
+    worst = int(np.argmax(cond))
+    where = f"{np.broadcast_to(omega, cond.shape)[worst]:g}" if omega is not None else None
+    return str(ill), str(cond.size), f"{cond[worst]:.2e}", str(worst), where
+
+
+def with_singular_values(rng, sigmas, n):
+    """Complex n x n matrices U diag(sigma) V^H with Haar-like U and V, one per sigma row."""
+    sigmas = np.asarray(sigmas, dtype=float)
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=sigmas.shape[:-1] + (n, n))
+                            + 1j * rng.normal(size=sigmas.shape[:-1] + (n, n)))
+        return q
+
+    return (unitary() * sigmas[..., None, :]) @ np.swapaxes(unitary().conj(), -1, -2)
+
+
+def hilbert(n):
+    return np.array([[1.0 / (i + j + 1) for j in range(n)] for i in range(n)])
+
+
+class TestConditionScreen:
+    """The Frobenius screen flags exactly what the full-stack SVD flags."""
+
+    def assert_same(self, matrix, omega=None):
+        expected = outcome_of_full_svd(matrix, omega)
+        assert outcome_of_screen(matrix, omega) == expected
+        return expected
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_log_spaced_conditions(self, rng, n):
+        # cond from 1e0 to 1e18 in one stack, at several overall scales
+        log_cond = np.linspace(0.0, 18.0, 73)
+        sigmas = np.ones((log_cond.size, n))
+        sigmas[:, -1] = 10.0 ** -log_cond
+        sigmas[:, 1:-1] = 10.0 ** (-log_cond[:, None] / 2)
+        for scale in (1e-6, 1.0, 1e9):
+            matrix = scale * with_singular_values(rng, sigmas, n)
+            omega = np.linspace(-1.0, 1.0, log_cond.size) * 1e11
+            fields = self.assert_same(matrix, omega)
+            assert fields is not None and int(fields[0]) >= 20
+
+    def test_near_threshold_stack(self, rng):
+        # one dominant and one tiny singular value: the bound sits within
+        # 1e-8 of cond, and rounding scatters both by about 1e-4 around 1e12
+        count = 2000
+        sigmas = np.ones((count, 4))
+        sigmas[:, 1:3] = 1e-4
+        sigmas[:, 3] = 1e-12 * (1.0 + rng.uniform(-5e-4, 5e-4, count))
+        matrix = with_singular_values(rng, sigmas, 4)
+        fields = self.assert_same(matrix, np.arange(count, dtype=float))
+        assert 0 < int(fields[0]) < count
+
+    def test_scaled_near_singular_blocks(self, rng):
+        base = rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4))
+        # the last column is a combination of the others, up to a relative 10^-k
+        k = np.arange(40) % 20
+        base[..., 3:] = (base[..., :3] @ rng.normal(size=(40, 3, 1))
+                         + (10.0 ** -k)[:, None, None] * base[..., 3:])
+        for scale in (1e-8, 1e3, 1e12):
+            assert self.assert_same(scale * base) is not None
+
+    def test_hilbert_blocks(self):
+        blocks = []
+        for n in (3, 4):
+            for k in range(16):
+                h = hilbert(n)
+                h[-1] *= 10.0 ** -k
+                blocks.append(h.astype(complex))
+            for row in (1, 2):
+                h = hilbert(n)
+                h[row] *= 1e-13
+                blocks.append(h.astype(complex))
+        for n in (3, 4):
+            stack = np.array([b for b in blocks if b.shape[0] == n])
+            assert self.assert_same(stack) is not None
+
+    def test_non_finite_entries(self, rng):
+        base = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4)) + 4 * np.eye(4)
+        for value in (np.inf, -np.inf, complex(0.0, np.inf), np.nan, complex(np.nan, 0.0)):
+            matrix = base.copy()
+            matrix[4, 1, 2] = value
+            self.assert_same(matrix, np.arange(6.0))
+
+    def test_one_matrix(self):
+        h = hilbert(4)
+        h[3] *= 1e-11
+        assert self.assert_same(h.astype(complex), 2.5) is not None
+        assert self.assert_same(hilbert(4).astype(complex)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_conds=st.lists(st.floats(0.0, 18.0), min_size=1, max_size=12),
+        log_scale=st.floats(-6.0, 6.0),
+        n=st.sampled_from([3, 4]),
+    )
+    def test_random_stacks(self, seed, log_conds, log_scale, n):
+        rng = np.random.default_rng(seed)
+        log_conds = np.asarray(log_conds)[:, None]
+        exponents = np.hstack([np.zeros_like(log_conds),
+                               log_conds * rng.uniform(0.0, 1.0, (len(log_conds), n - 2)),
+                               log_conds])
+        matrix = 10.0 ** log_scale * with_singular_values(rng, 10.0 ** -exponents, n)
+        self.assert_same(matrix, rng.uniform(-1e11, 1e11, len(log_conds)))
